@@ -10,7 +10,7 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -86,35 +86,66 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
 # -- config document mapping --------------------------------------------------
 
 
+def _mapping(node, key: str) -> dict:
+    """A document node that must be a mapping; absent or null reads as empty."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigurationError("must be a mapping", key=key)
+    return node
+
+
+def _number(value, key: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"must be a number, got {value!r}", key=key)
+    return value
+
+
+def _numeric_fields(cls, node: dict, key: str) -> dict:
+    """Keyword arguments for a dataclass of numbers, each field checked."""
+    names = {f.name for f in fields(cls)}
+    for k in node:
+        if k not in names:
+            raise ConfigurationError("unknown field", key=f"{key}.{k}")
+    return {k: _number(v, f"{key}.{k}") for k, v in node.items()}
+
+
+def _integer(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"must be an integer, got {value!r}",
+                                 key=key) from None
+
+
 def _machine_from_doc(doc: dict) -> MachineConfig:
-    def sub(cls, key, **renames):
-        node = doc.get(key, {}) or {}
-        if not isinstance(node, dict):
-            raise ConfigurationError("must be a mapping", key=f"machine.{key}")
-        kwargs = {}
-        for k, v in node.items():
-            kwargs[renames.get(k, k)] = v
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc), key=f"machine.{key}") from None
+    def sub(cls, key):
+        node = _mapping(doc.get(key), f"machine.{key}")
+        return cls(**_numeric_fields(cls, node, f"machine.{key}"))
 
     return MachineConfig(
         cpu=sub(CpuSpec, "cpu"),
         ndp=sub(NdpSpec, "ndp"),
         hbm=sub(HbmSpec, "hbm"),
         interconnect=sub(MeshSpec, "interconnect"),
-        cxt_s=doc.get("cxt_s", MachineConfig().cxt_s),
+        cxt_s=_number(doc.get("cxt_s", MachineConfig().cxt_s), "machine.cxt_s"),
     )
 
 
 def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
     base = CalibrationFixture.calibrated()
+
+    def scalar(name: str, optional: bool = False):
+        value = doc.get(name, getattr(base, name))
+        if value is None and optional:
+            return None
+        return _number(value, f"workload.{name}")
+
     families = dict(base.families)
     for fam in ("fft", "face_split", "gemm", "alltoall", "syevd", "pseudo"):
-        node = doc.get(fam)
-        if node is None:
+        if doc.get(fam) is None:
             continue
+        node = _mapping(doc[fam], f"workload.{fam}")
         # an explicit family record must be complete
         for coef in ("flop_coef", "byte_coef") if fam != "pseudo" else ():
             if coef not in node:
@@ -122,24 +153,28 @@ def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
                                    "explicit family record")
         prev = families[fam]
         families[fam] = FamilyCoefficients(
-            flop_coef=node.get("flop_coef", prev.flop_coef),
-            byte_coef=node.get("byte_coef", prev.byte_coef))
-    pseudo = PseudoParams(projectors_per_atom=doc.get(
-        "pseudo", {}).get("projectors_per_atom",
-                          base.pseudo.projectors_per_atom))
-    fp_doc = doc.get("footprint", {}) or {}
-    fp = replace(FootprintParams(), **fp_doc) if fp_doc else base.footprint
+            flop_coef=_number(node.get("flop_coef", prev.flop_coef),
+                              f"workload.{fam}.flop_coef"),
+            byte_coef=_number(node.get("byte_coef", prev.byte_coef),
+                              f"workload.{fam}.byte_coef"))
+    pseudo = PseudoParams(projectors_per_atom=_number(
+        _mapping(doc.get("pseudo"), "workload.pseudo").get(
+            "projectors_per_atom", base.pseudo.projectors_per_atom),
+        "workload.pseudo.projectors_per_atom"))
+    fp_doc = _mapping(doc.get("footprint"), "workload.footprint")
+    fp = (FootprintParams(**_numeric_fields(FootprintParams, fp_doc,
+                                            "workload.footprint"))
+          if fp_doc else base.footprint)
     return replace(
         base,
-        nv_per_atom=doc.get("nv_per_atom", base.nv_per_atom),
-        nc_per_atom=doc.get("nc_per_atom", base.nc_per_atom),
-        nr_per_atom=doc.get("nr_per_atom", base.nr_per_atom),
-        processes_cpu=doc.get("processes_cpu", base.processes_cpu),
-        processes_ndp=doc.get("processes_ndp", base.processes_ndp),
-        orbital_groups_max=doc.get("orbital_groups_max", base.orbital_groups_max),
-        response_dim_base=doc.get("response_dim_base", base.response_dim_base),
-        response_dim_per_atom=doc.get("response_dim_per_atom",
-                                      base.response_dim_per_atom),
+        nv_per_atom=scalar("nv_per_atom"),
+        nc_per_atom=scalar("nc_per_atom"),
+        nr_per_atom=scalar("nr_per_atom"),
+        processes_cpu=scalar("processes_cpu"),
+        processes_ndp=scalar("processes_ndp"),
+        orbital_groups_max=scalar("orbital_groups_max"),
+        response_dim_base=scalar("response_dim_base", optional=True),
+        response_dim_per_atom=scalar("response_dim_per_atom", optional=True),
         families=families, pseudo=pseudo, footprint=fp,
         targets=doc.get("targets", base.targets),
     )
@@ -156,11 +191,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a mapping", key=str(path))
     diagnostics: list[str] = []
-    machine = _machine_from_doc(doc.get("machine", {}) or {})
-    fixture = _fixture_from_doc(doc.get("workload", {}) or {}, diagnostics)
+    machine = _machine_from_doc(_mapping(doc.get("machine"), "machine"))
+    fixture = _fixture_from_doc(_mapping(doc.get("workload"), "workload"),
+                                diagnostics)
     scenarios = []
     env_seed = os.environ.get(SEED_ENV)
-    for i, node in enumerate(doc.get("scenarios", []) or []):
+    nodes = doc.get("scenarios") or []
+    if not isinstance(nodes, list):
+        raise ConfigurationError("must be a list", key="scenarios")
+    for i, node in enumerate(nodes):
         if not isinstance(node, dict):
             raise ConfigurationError("must be a mapping", key=f"scenarios[{i}]")
         try:
@@ -172,15 +211,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "seed" not in node:
             raise ConfigurationError("seed is required (no wall-clock defaults)",
                                      key=f"scenarios[{i}].seed")
-        seed = int(env_seed) if env_seed is not None else int(node["seed"])
+        seed = (_integer(env_seed, SEED_ENV) if env_seed is not None
+                else _integer(node["seed"], f"scenarios[{i}].seed"))
         scenarios.append(Scenario(
-            n_atoms=int(node.get("n_atoms", 0)),
+            n_atoms=_integer(node.get("n_atoms", 0), f"scenarios[{i}].n_atoms"),
             policy=str(node.get("policy", "hybrid")),
             pseudo_mode=mode, seed=seed,
             exec_pseudo=bool(node.get("exec_pseudo", False))))
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigurationError("must be a path string", key="output_dir")
     return ExperimentConfig(machine=machine, fixture=fixture,
-                            scenarios=scenarios,
-                            output_dir=Path(doc.get("output_dir", "out")),
+                            scenarios=scenarios, output_dir=Path(output_dir),
                             extra_diagnostics=diagnostics)
 
 
@@ -321,8 +363,7 @@ def run_experiment(config: ExperimentConfig,
     """Run the scenario matrix and write report_<scenario>.csv plus summary.csv."""
     bad = config.validate()
     if bad:
-        raise ConfigurationError(bad[0].split(": ", 1)[1],
-                                 key=bad[0].split(": ", 1)[0])
+        raise ConfigurationError.from_diagnostic(bad[0])
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     scenarios = [sc for sc in config.scenarios

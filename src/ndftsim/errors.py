@@ -19,6 +19,12 @@ class ConfigurationError(NdftError, ValueError):
         super().__init__(f"{key}: {message}" if key else message)
         self.key = key
 
+    @classmethod
+    def from_diagnostic(cls, line: str) -> "ConfigurationError":
+        """Error for one '<key>: <problem>' line of a validate() list."""
+        key, sep, message = line.partition(": ")
+        return cls(message, key=key) if sep else cls(line)
+
 
 class CapacityError(NdftError):
     """A placement or allocation does not fit in the target memory."""

@@ -34,6 +34,7 @@ class Location(enum.Enum):
 # HOST <-> CPU moves are free; stacks are addressed by index >= 0.
 HOST = -2
 CPU_SIDE = -1
+CPU_LIKE = (HOST, CPU_SIDE)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class MachineConfig:
     def validated(self) -> "MachineConfig":
         bad = self.validate()
         if bad:
-            raise ConfigurationError(bad[0].split(": ", 1)[1], key=bad[0].split(": ", 1)[0])
+            raise ConfigurationError.from_diagnostic(bad[0])
         return self
 
     def with_cxt(self, cxt_s: float) -> "MachineConfig":

@@ -500,7 +500,7 @@ def footprint_model(system: SystemSize, arch: Arch, mode: PseudoMode,
     fp = fixture.footprint
     bad = fp.validate()
     if bad:
-        raise ConfigurationError(bad[0].split(": ", 1)[1], key=bad[0].split(": ", 1)[0])
+        raise ConfigurationError.from_diagnostic(bad[0])
     base, per_proc = _anchor(fp, system)
     if mode is PseudoMode.PER_PROCESS_COPY:
         procs = fp.processes_ndp if arch is Arch.NDP else fp.processes_cpu

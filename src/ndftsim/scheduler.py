@@ -11,19 +11,18 @@ additionally charges one context-handoff constant.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 from dataclasses import dataclass, field
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
-from .machine import (CPU_SIDE, HOST, Location, MachineConfig, UnitClass,
-                      UnitRef, bandwidth, mesh_hops)
+from .machine import (CPU_LIKE, CPU_SIDE, HOST, Location, MachineConfig,
+                      UnitClass, UnitRef, bandwidth, mesh_hops)
 from .workload import KernelFamily, TaskGraph
 
 POLICIES = ("hybrid", "cpu_only", "ndp_only")
-
-_CPU_LIKE = (HOST, CPU_SIDE)
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,10 @@ def transfer_cost(n_bytes: float, src: int, dst: int, cfg: MachineConfig) -> flo
     for loc in (src, dst):
         if loc < HOST:
             raise DomainError(f"unknown location {loc}")
-    if src == dst or (src in _CPU_LIKE and dst in _CPU_LIKE):
+    if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
         return 0.0
     hop = cfg.interconnect.hop_latency_s
-    if src in _CPU_LIKE or dst in _CPU_LIKE:
+    if src in CPU_LIKE or dst in CPU_LIKE:
         return n_bytes / bandwidth(Location.CPU_LINK, cfg) + 1 * hop
     hops = mesh_hops(src, dst, cfg)
     return n_bytes / bandwidth(Location.MESH_HOP, cfg) + hops * hop
@@ -131,13 +130,14 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
     """
     transfers: list[Transfer] = []
     crossings: list[tuple[str, str, str]] = []
+    location: dict[str, int] = {}
     for tid in graph.topo_order():
         task = graph.task(tid)
         if tid not in placements or not placements[tid]:
             raise ScheduleError(f"task {tid} has no placement")
+        dst = location[tid] = placements[tid][0].location()
         if task.family is KernelFamily.ALLTOALL:
             continue
-        dst = placements[tid][0].location()
         for oid in task.inputs:
             producer = graph.producers.get(oid)
             if producer is None:
@@ -145,8 +145,8 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
                 if src is None:
                     raise ScheduleError(f"object {oid} has no producer or home")
             else:
-                src = placements[producer][0].location()
-            if src == dst or (src in _CPU_LIKE and dst in _CPU_LIKE):
+                src = location[producer]
+            if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
                 continue
             transfers.append(Transfer(
                 object_id=oid, bytes=graph.data_objects[oid].size,
@@ -165,188 +165,203 @@ class _Assignment:
 
     units: dict[str, UnitRef]
     ends: dict[str, float]
-    ndp_free: "object"          # np.ndarray of per-unit ready times
+    ndp_free: list[float]       # per-unit ready times
     cpu_free: float
     link_free: float
-    transfers: list[Transfer]
-    crossings: list[tuple[str, str, str]]
     completion: float
     overhead: float
     input_bytes_resident: float
 
 
 class _PlanState:
-    def __init__(self, graph: TaskGraph, cfg: MachineConfig):
-        import numpy as np
+    """Unit, link and data cursors of a partial plan.
 
+    The per-graph facts (object sizes, whether a task fits in NDP memory,
+    and the duration table of every task on every permitted class) are
+    built once per plan() call and shared by all snapshots.  A task's
+    roofline time depends only on its unit class, so one table entry per
+    (task, class) serves every candidate unit.
+    """
+
+    def __init__(self, graph: TaskGraph, cfg: MachineConfig,
+                 classes: list[UnitClass]):
         self.graph = graph
         self.cfg = cfg
+        self.classes = classes
         self.cpu = UnitRef.cpu()
         self.ups = cfg.ndp.units_per_stack
         self.ndp_units = [UnitRef.ndp(s, u)
                           for s in range(cfg.total_stacks)
                           for u in range(self.ups)]
-        self.ndp_free = np.zeros(len(self.ndp_units))
+        self.ndp_loc = [u.location() for u in self.ndp_units]
+        self.ndp_free = [0.0] * len(self.ndp_units)
         self.cpu_free = 0.0
         self.link_free = 0.0  # CPU link cursor for staging serialization
+        self.size = {oid: obj.size for oid, obj in graph.data_objects.items()}
         self.obj_loc: dict[str, int] = {}
         self.obj_ready: dict[str, float] = {}
         for oid, obj in graph.data_objects.items():
             if obj.initial_location is not None:
                 self.obj_loc[oid] = obj.initial_location
                 self.obj_ready[oid] = 0.0
-        self.transfers: list[Transfer] = []
-        self.crossings: list[tuple[str, str, str]] = []
         self.placements: dict[str, list[UnitRef]] = {}
+        probe = {UnitClass.CPU: self.cpu, UnitClass.NDP_UNIT: UnitRef.ndp(0, 0)}
+        self.duration = {cls: {t.id: estimate_time(t, probe[cls], cfg).seconds
+                               for t in graph.tasks}
+                         for cls in classes}
+        # streaming capacity: outputs plus the largest input window must fit
+        # in the NDP memory; host memory backs the CPU side
+        self.fits_ndp = {
+            t.id: sum(self.size[o] for o in t.outputs)
+            + max((self.size[o] for o in t.inputs), default=0)
+            <= cfg.hbm.total_capacity
+            for t in graph.tasks}
+        # transfer_cost per (object, src, dst), filled as moves are staged
+        self.move_s: dict[tuple[str, int, int], float] = {}
 
-    def snapshot(self, members: list, chosen: "_Assignment") -> "_PlanState":
-        """Clone with the assignment applied, for lookahead evaluation."""
-        clone = object.__new__(_PlanState)
-        clone.graph = self.graph
-        clone.cfg = self.cfg
-        clone.cpu = self.cpu
-        clone.ups = self.ups
-        clone.ndp_units = self.ndp_units
-        clone.ndp_free = chosen.ndp_free.copy()
-        clone.cpu_free = chosen.cpu_free
-        clone.link_free = chosen.link_free
+    def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":
+        """Clone with the assignment committed, for lookahead evaluation.
+
+        The clone equals what this state becomes after commit(members,
+        chosen), so evaluations made on it stay valid after the commit.
+        """
+        clone = copy.copy(self)
         clone.obj_loc = dict(self.obj_loc)
         clone.obj_ready = dict(self.obj_ready)
-        clone.transfers = []
-        clone.crossings = []
         clone.placements = {}
-        for task in members:
-            loc = chosen.units[task.id].location()
-            for oid in task.outputs:
-                clone.obj_loc[oid] = loc
-                clone.obj_ready[oid] = chosen.ends[task.id]
+        clone.commit(members, chosen)
         return clone
 
-    def fits(self, task, unit: UnitRef) -> bool:
-        """Streaming capacity: outputs plus the largest input window must
-        fit in the NDP memory backing the unit."""
-        if unit.cls is UnitClass.CPU:
-            return True  # host memory backs the CPU side
-        objs = self.graph.data_objects
-        out_bytes = sum(objs[o].size for o in task.outputs)
-        max_in = max((objs[o].size for o in task.inputs), default=0)
-        return out_bytes + max_in <= self.cfg.hbm.total_capacity
+    def class_options(self, members: list) -> list[UnitClass]:
+        if members[0].family is KernelFamily.ALLTOALL and len(self.classes) > 1:
+            # A collective runs where its partitions live; it is not a
+            # placement choice the boundary can hide behind.
+            ndp_bytes = cpu_bytes = 0
+            for task in members:
+                for oid in task.inputs:
+                    if self.obj_loc.get(oid, HOST) >= 0:
+                        ndp_bytes += self.size[oid]
+                    else:
+                        cpu_bytes += self.size[oid]
+            return [UnitClass.NDP_UNIT if ndp_bytes > cpu_bytes
+                    else UnitClass.CPU]
+        return self.classes
 
     def stage_inputs(self, task, dst: int, link_free: float,
-                     ) -> tuple[float, float, list[Transfer],
-                                list[tuple[str, str, str]], float]:
-        """Arrival time of the task's inputs at dst, creating per-edge moves.
+                     ) -> tuple[float, float, float]:
+        """Arrival time of the task's inputs at dst.
 
-        Returns (data_ready, new link cursor, transfers, crossing edges,
-        crossing overhead).  All-to-all tasks exchange in place and stage
-        nothing.
+        Returns (data_ready, new link cursor, crossing overhead).  All-to-all
+        tasks exchange in place and stage nothing.
         """
-        cfg = self.cfg
-        graph = self.graph
-        moves: list[Transfer] = []
-        crossings: list[tuple[str, str, str]] = []
         overhead = 0.0
         data_ready = 0.0
         if task.family is KernelFamily.ALLTOALL:
             for oid in task.inputs:
                 data_ready = max(data_ready, self.obj_ready.get(oid, 0.0))
-            return data_ready, link_free, moves, crossings, overhead
+            return data_ready, link_free, overhead
+        cfg = self.cfg
         for oid in task.inputs:
             if oid not in self.obj_loc:
                 raise ScheduleError(f"object {oid} consumed before production")
             src = self.obj_loc[oid]
             avail = self.obj_ready[oid]
-            if src != dst and not (src in _CPU_LIKE and dst in _CPU_LIKE):
-                size = graph.data_objects[oid].size
-                dt = transfer_cost(size, src, dst, cfg)
-                if src in _CPU_LIKE or dst in _CPU_LIKE:
+            if src != dst and not (src in CPU_LIKE and dst in CPU_LIKE):
+                dt = self.move_s.get((oid, src, dst))
+                if dt is None:
+                    dt = transfer_cost(self.size[oid], src, dst, cfg)
+                    self.move_s[(oid, src, dst)] = dt
+                if src in CPU_LIKE or dst in CPU_LIKE:
                     # the CPU link is a serialized resource
                     start = max(avail, link_free)
                     link_free = start + dt
                     avail = link_free
                 else:
                     avail += dt
-                moves.append(Transfer(object_id=oid, bytes=size, src=src,
-                                      dst=dst, cause_task=task.id))
-                producer = graph.producers.get(oid)
-                if producer is not None and (src == CPU_SIDE) != (dst == CPU_SIDE):
-                    crossings.append((producer, task.id, oid))
+                produced = oid in self.graph.producers
+                if produced and (src == CPU_SIDE) != (dst == CPU_SIDE):
                     overhead += dt + cfg.cxt_s
                     avail += cfg.cxt_s  # receiving side stalls for the handoff
             data_ready = max(data_ready, avail)
-        return data_ready, link_free, moves, crossings, overhead
+        return data_ready, link_free, overhead
 
     def evaluate_group(self, members: list, cls: UnitClass) -> _Assignment | None:
-        """Tentatively place a stage group on one class, round-robin by load."""
-        import numpy as np
+        """Tentatively place a stage group on one class, task by task.
 
-        cfg = self.cfg
-        ndp_free = self.ndp_free.copy()
+        Each task goes to the candidate unit that finishes it first.  On the
+        CPU the only candidate is the CPU; on NDP they are the least-loaded
+        unit of the fleet and the least-loaded unit of the stack holding the
+        task's largest input, with ties going to the lower unit index.
+        Returns None if some task fits on no unit of the class.  The state
+        itself is not modified.
+        """
+        duration = self.duration[cls]
+        obj_loc = self.obj_loc
+        size = self.size
+        ndp_free = list(self.ndp_free)
         cpu_free = self.cpu_free
         link_free = self.link_free
         units: dict[str, UnitRef] = {}
         ends: dict[str, float] = {}
-        transfers: list[Transfer] = []
-        crossings: list[tuple[str, str, str]] = []
         completion = 0.0
         overhead = 0.0
         resident = 0.0
         for task in members:
+            dur = duration[task.id]
             if cls is UnitClass.CPU:
-                candidates = [-1]
+                ready, lf, ovh = self.stage_inputs(task, CPU_SIDE, link_free)
+                eft, idx, loc = max(cpu_free, ready) + dur, -1, CPU_SIDE
             else:
-                candidates = [int(np.argmin(ndp_free))]
+                if not self.fits_ndp[task.id]:
+                    return None  # nothing on this class can hold the task
+                least = ndp_free.index(min(ndp_free))
+                candidates = [least]
                 # locality candidate: least-loaded unit in the stack holding
                 # the largest staged input
-                largest = max(
-                    ((self.graph.data_objects[o].size, self.obj_loc.get(o, HOST))
-                     for o in task.inputs), default=(0, HOST))
+                largest = max(((size[o], obj_loc.get(o, HOST))
+                               for o in task.inputs), default=(0, HOST))
                 if largest[1] >= 0:
-                    stack = largest[1]
-                    lo = stack * self.ups
-                    local = lo + int(np.argmin(ndp_free[lo:lo + self.ups]))
-                    if local != candidates[0]:
+                    lo = largest[1] * self.ups
+                    window = ndp_free[lo:lo + self.ups]
+                    local = lo + window.index(min(window))
+                    if local != least:
                         candidates.append(local)
-                candidates = [i for i in candidates
-                              if self.fits(task, self.ndp_units[i])]
-                if not candidates:
-                    return None  # nothing on this class can hold the task
-            scored = []
-            for idx in candidates:
-                unit = self.cpu if idx < 0 else self.ndp_units[idx]
-                free = cpu_free if idx < 0 else float(ndp_free[idx])
-                ready, lf, moves, crosses, ovh = self.stage_inputs(
-                    task, unit.location(), link_free)
-                dur = estimate_time(task, unit, cfg).seconds
-                scored.append((max(free, ready) + dur, idx, unit, lf, moves,
-                               crosses, ovh))
-            scored.sort(key=lambda row: (row[0], row[1]))
-            eft, idx, unit, link_free, moves, crosses, ovh = scored[0]
-            units[task.id] = unit
+                best = None
+                for i in candidates:
+                    ready, lf_i, ovh_i = self.stage_inputs(
+                        task, self.ndp_loc[i], link_free)
+                    row = (max(ndp_free[i], ready) + dur, i, self.ndp_loc[i],
+                           lf_i, ovh_i)
+                    if best is None or row[:2] < best[:2]:
+                        best = row
+                eft, idx, loc, lf, ovh = best
+            units[task.id] = self.cpu if idx < 0 else self.ndp_units[idx]
             ends[task.id] = eft
             if idx < 0:
                 cpu_free = eft
             else:
                 ndp_free[idx] = eft
-            transfers.extend(moves)
-            crossings.extend(crosses)
+            link_free = lf
             overhead += ovh
             completion = max(completion, eft)
             for oid in task.inputs:
-                if self.obj_loc.get(oid, HOST) == unit.location():
-                    resident += self.graph.data_objects[oid].size
+                if obj_loc.get(oid, HOST) == loc:
+                    resident += size[oid]
         return _Assignment(units=units, ends=ends, ndp_free=ndp_free,
                            cpu_free=cpu_free, link_free=link_free,
-                           transfers=transfers, crossings=crossings,
                            completion=completion, overhead=overhead,
                            input_bytes_resident=resident)
 
+    def evaluate_all(self, members: list) -> dict[UnitClass, _Assignment | None]:
+        return {cls: self.evaluate_group(members, cls)
+                for cls in self.class_options(members)}
+
     def commit(self, members: list, chosen: _Assignment) -> None:
+        # evaluate_group copies ndp_free before writing, so sharing the
+        # assignment's list is safe
         self.ndp_free = chosen.ndp_free
         self.cpu_free = chosen.cpu_free
         self.link_free = chosen.link_free
-        self.transfers.extend(chosen.transfers)
-        self.crossings.extend(chosen.crossings)
         for task in members:
             unit = chosen.units[task.id]
             self.placements[task.id] = [unit]
@@ -361,15 +376,23 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
 
     ``hybrid`` chooses per stage group between the CPU and the NDP fleet;
     ``cpu_only`` / ``ndp_only`` force one class and serve as the measurement
-    baselines.
+    baselines.  Each class is scored with a one-group lookahead: the best
+    finish of the next group on the state the class leaves behind.  The
+    winner's lookahead evaluations are reused as the next group's own
+    evaluations, since committing the winner yields exactly the snapshot
+    they ran on.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
-    state = _PlanState(graph, cfg)
+    classes = []
+    if policy in ("hybrid", "cpu_only"):
+        classes.append(UnitClass.CPU)
+    if policy in ("hybrid", "ndp_only"):
+        classes.append(UnitClass.NDP_UNIT)
+    state = _PlanState(graph, cfg, classes)
 
-    order = graph.topo_order()
-    groups: list[list] = []
-    for tid in order:
+    groups: list[tuple[str, list]] = []
+    for tid in graph.topo_order():
         task = graph.task(tid)
         key = task.id.rsplit("_", 1)[0]
         if groups and groups[-1][0] == key:
@@ -377,54 +400,32 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
         else:
             groups.append((key, [task]))
 
-    def class_options(state_: _PlanState, members: list) -> list[UnitClass]:
-        options = []
-        if policy in ("hybrid", "cpu_only"):
-            options.append(UnitClass.CPU)
-        if policy in ("hybrid", "ndp_only"):
-            options.append(UnitClass.NDP_UNIT)
-        if members[0].family is KernelFamily.ALLTOALL and len(options) > 1:
-            # A collective runs where its partitions live; it is not a
-            # placement choice the boundary can hide behind.
-            ndp_bytes = cpu_bytes = 0
-            for task in members:
-                for oid in task.inputs:
-                    size = graph.data_objects[oid].size
-                    if state_.obj_loc.get(oid, HOST) >= 0:
-                        ndp_bytes += size
-                    else:
-                        cpu_bytes += size
-            options = [UnitClass.NDP_UNIT if ndp_bytes > cpu_bytes
-                       else UnitClass.CPU]
-        return options
-
-    for gi, (_key, members) in enumerate(groups):
-        scored = []
-        for cls in class_options(state, members):
-            assignment = state.evaluate_group(members, cls)
+    evaluations = state.evaluate_all(groups[0][1]) if groups else {}
+    for gi, (key, members) in enumerate(groups):
+        nxt = groups[gi + 1][1] if gi + 1 < len(groups) else None
+        best = None
+        for cls, assignment in evaluations.items():
             if assignment is None:
                 continue
             score = assignment.completion + assignment.overhead
+            follow: dict[UnitClass, _Assignment | None] = {}
             # One-group lookahead: a placement that strands its outputs on
             # the wrong side of the boundary must pay for it now.
-            if gi + 1 < len(groups):
-                nxt = groups[gi + 1][1]
-                after = state.snapshot(members, assignment)
-                follow = []
-                for nxt_cls in class_options(after, nxt):
-                    nxt_asg = after.evaluate_group(nxt, nxt_cls)
-                    if nxt_asg is not None:
-                        follow.append(max(assignment.completion,
-                                          nxt_asg.completion) + nxt_asg.overhead)
-                if follow:
-                    score = min(follow) + assignment.overhead
+            if nxt is not None:
+                follow = state.snapshot(members, assignment).evaluate_all(nxt)
+                finishes = [max(assignment.completion, a.completion) + a.overhead
+                            for a in follow.values() if a is not None]
+                if finishes:
+                    score = min(finishes) + assignment.overhead
             # ties: prefer the class holding more input bytes, then CPU
-            scored.append((score, -assignment.input_bytes_resident,
-                           0 if cls is UnitClass.CPU else 1, assignment))
-        if not scored:
+            rank = (score, -assignment.input_bytes_resident,
+                    0 if cls is UnitClass.CPU else 1)
+            if best is None or rank < best[0]:
+                best = (rank, assignment, follow)
+        if best is None:
             raise CapacityError(
-                f"stage {_key} fits on no permitted unit under policy {policy}")
-        scored.sort(key=lambda row: (row[0], row[1], row[2]))
-        state.commit(members, scored[0][3])
+                f"stage {key} fits on no permitted unit under policy {policy}")
+        _, chosen, evaluations = best
+        state.commit(members, chosen)
 
     return schedule_from_placements(graph, cfg, state.placements, policy=policy)

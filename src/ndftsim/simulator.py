@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 from .analyzer import estimate_time
 from .errors import DomainError, ScheduleError
-from .machine import (CPU_SIDE, HOST, Location, MachineConfig, UnitClass,
+from .machine import (CPU_LIKE, CPU_SIDE, Location, MachineConfig, UnitClass,
                       UnitRef, bandwidth)
 from .runtime import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
 from .scheduler import Schedule, scheduling_overhead
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
-
-_CPU_LIKE = (HOST, CPU_SIDE)
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,13 @@ class _Links:
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
         self.free: dict[str, float] = {}
+        self.routes: dict[tuple[int, int], list[str]] = {}
 
     def _mesh_route(self, src: int, dst: int) -> list[str]:
-        """X-then-Y Manhattan route as a list of directed link names."""
+        """X-then-Y Manhattan route as a list of directed link names,
+        computed once per (src, dst) pair."""
+        if (src, dst) in self.routes:
+            return self.routes[(src, dst)]
         cfg = self.cfg
         sx, sy = src % cfg.ndp.stacks_x, src // cfg.ndp.stacks_x
         dx, dy = dst % cfg.ndp.stacks_x, dst // cfg.ndp.stacks_x
@@ -76,15 +78,16 @@ class _Links:
             ny = y + (1 if dy > y else -1)
             links.append(f"mesh:{x},{y}-{x},{ny}")
             y = ny
+        self.routes[(src, dst)] = links
         return links
 
     def occupy(self, src: int, dst: int, n_bytes: float, ready: float,
                ) -> tuple[float, float, str]:
         """Serialize one transfer over its path; returns (start, end, path name)."""
         cfg = self.cfg
-        if src == dst or (src in _CPU_LIKE and dst in _CPU_LIKE):
+        if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
             return ready, ready, "local"
-        if src in _CPU_LIKE or dst in _CPU_LIKE:
+        if src in CPU_LIKE or dst in CPU_LIKE:
             dur = n_bytes / bandwidth(Location.CPU_LINK, cfg) \
                 + cfg.interconnect.hop_latency_s
             start = max(ready, self.free.get("cpu_link", 0.0))
@@ -137,6 +140,9 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                                           f"pseudo_block:{src}->{dst}", n_bytes))
             transferred += n_bytes
 
+    task_loc = {t.id: schedule.placements[t.id][0].location()
+                for t in graph.tasks}
+
     def obj_location(oid: str) -> int:
         prod = graph.producers.get(oid)
         if prod is None:
@@ -144,7 +150,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             if init is None:
                 raise ScheduleError(f"object {oid} has no producer or home")
             return init
-        return schedule.placements[prod][0].location()
+        return task_loc[prod]
 
     order = graph.topo_order()
     task_end: dict[str, float] = {}
@@ -163,7 +169,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                     prod = graph.producers.get(oid)
                     avail = task_end.get(prod, 0.0) if prod else 0.0
                     src = obj_location(oid)
-                    if src != u_loc and not (src in _CPU_LIKE and u_loc in _CPU_LIKE):
+                    if src != u_loc and not (src in CPU_LIKE and u_loc in CPU_LIKE):
                         size = graph.data_objects[oid].size
                         start, end, link = links.occupy(src, u_loc, size, avail)
                         timeline.append(TimelineEvent(

@@ -199,9 +199,6 @@ class KernelDescriptor:
     bytes_written: float
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    # Work multiplicity of the kernel (transforms in an FFT batch, pair rows
-    # in a GEMM tile); the simulator divides costs by it for split placements.
-    width: int = 1
 
     @property
     def total_bytes(self) -> float:
@@ -228,12 +225,22 @@ class TaskGraph:
         for t in self.tasks:
             for o in t.outputs:
                 self.producers[o] = t.id
+        self._order: list[str] | None = None
 
     def task(self, task_id: str) -> KernelDescriptor:
         return self._by_id[task_id]
 
     def topo_order(self) -> list[str]:
-        """Deterministic topological order (Kahn, lexicographic ready set)."""
+        """Deterministic topological order (Kahn, lexicographic ready set).
+
+        Computed on the first call; every call returns a fresh copy, so
+        callers may mutate the list.
+        """
+        if self._order is None:
+            self._order = self._kahn()
+        return list(self._order)
+
+    def _kahn(self) -> list[str]:
         indeg = {t.id: 0 for t in self.tasks}
         succs: dict[str, list[str]] = {t.id: [] for t in self.tasks}
         for prod, cons, _obj in self.edges:
@@ -396,7 +403,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
             tasks.append(KernelDescriptor(
                 id=f"s1_fft_orb_{kind}_{i:04d}", family=KernelFamily.FFT,
                 flops=fl, bytes_read=br, bytes_written=bw,
-                inputs=(raw,), outputs=(out,), width=norb))
+                inputs=(raw,), outputs=(out,)))
             orbital_groups[kind].append((out, norb))
 
     # Stage 2/3: pair cells on the (gv x gc) group grid.  The truncated pair
@@ -416,13 +423,13 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         tasks.append(KernelDescriptor(
             id=f"s2_face_{idx:04d}", family=KernelFamily.FACE_SPLIT,
             flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=(vin, cin), outputs=(prod,), width=pairs))
+            inputs=(vin, cin), outputs=(prod,)))
         phat = add_object(f"prodhat_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
         fl, br, bw = kernel_cost(KernelFamily.FFT, fixture, n=nr, count=pairs)
         tasks.append(KernelDescriptor(
             id=f"s3_fft_prod_{idx:04d}", family=KernelFamily.FFT,
             flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=(prod,), outputs=(phat,), width=pairs))
+            inputs=(prod,), outputs=(phat,)))
         cell_out.append((phat, pairs))
 
     # Stage 4: pseudopotential application, one task per process over the
@@ -451,8 +458,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         tasks.append(KernelDescriptor(
             id=f"s4_pseudo_{p:04d}", family=KernelFamily.PSEUDO,
             flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=tuple(c[1] for c in cells), outputs=tuple(o for o, _ in outs),
-            width=max(1, wf_per_proc[p])))
+            inputs=tuple(c[1] for c in cells), outputs=tuple(o for o, _ in outs)))
         pstate.append((outs, p))
 
     # Stage 5: response-matrix assembly, one tile per process; a tile
@@ -467,7 +473,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         tasks.append(KernelDescriptor(
             id=f"s5_gemm_{p:04d}", family=KernelFamily.GEMM,
             flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=tuple(o for o, _ in outs), outputs=(rt,), width=rows))
+            inputs=tuple(o for o, _ in outs), outputs=(rt,)))
         resp_parts.append(rt)
 
     # Stage 6: one all-to-all transposing the response matrix across all
@@ -478,7 +484,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     tasks.append(KernelDescriptor(
         id="s6_alltoall", family=KernelFamily.ALLTOALL,
         flops=fl, bytes_read=br, bytes_written=bw,
-        inputs=tuple(resp_parts), outputs=(response,), width=procs))
+        inputs=tuple(resp_parts), outputs=(response,)))
 
     # Stage 7: one dense eigendecomposition of the response matrix.
     fl, br, bw = kernel_cost(KernelFamily.SYEVD, fixture, n=d_resp)

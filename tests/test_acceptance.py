@@ -7,6 +7,7 @@ the shipped default configuration, executed once per session.
 
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import random
@@ -321,3 +322,16 @@ def test_hybrid_never_loses_to_either_baseline_on_shipped_matrix(matrix_run):
            if t["hybrid"] > min(t["cpu_only"], t["ndp_only"]) + 1e-9]
     report("shipped-matrix property: hybrid <= min(cpu_only, ndp_only)",
            not bad, f"violations at {bad}" if bad else "7/7 sizes")
+
+
+SHIPPED_SUMMARY_SHA256 = \
+    "e098b7f589d28a14c1c572959978394ea5172ad17945e3cc436ee7817cf56573"
+
+
+def test_shipped_summary_is_pinned(matrix_run):
+    """The shipped matrix's summary.csv is a fixed byte string: speed work
+    must not move a single digit of it."""
+    digest = hashlib.sha256(matrix_run["summary"]).hexdigest()
+    assert digest == SHIPPED_SUMMARY_SHA256, (
+        f"summary.csv SHA-256 is {digest}.  A deliberate model change must "
+        "update SHIPPED_SUMMARY_SHA256 and explain why in CHANGES.md.")

@@ -135,6 +135,29 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     assert cli("run", str(bad)).returncode == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("path, value, key", [
+    (("machine", "cxt_s"), "fast", "machine.cxt_s"),
+    (("workload", "footprint", "bogus"), 1, "workload.footprint.bogus"),
+    (("workload", "pseudo"), 3, "workload.pseudo"),
+    (("workload", "fft"), 5, "workload.fft"),
+    (("scenarios", 0, "n_atoms"), "abc", "scenarios[0].n_atoms"),
+    (("output_dir",), 3, "output_dir"),
+])
+def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
+                                              value, key):
+    doc = yaml.safe_load(config_file.read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    proc = cli("validate", str(bad))
+    assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
+    assert key in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_capacity_error_exits_3(tmp_path):
     doc = small_matrix_doc(tmp_path)
     doc["scenarios"] = [{"n_atoms": 8192, "policy": "ndp_only",

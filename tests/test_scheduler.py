@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ndftsim.cli import default_config
 from ndftsim.errors import CapacityError, DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MachineConfig, UnitClass, UnitRef)
 from ndftsim.scheduler import (Schedule, Transfer, plan,
@@ -240,3 +242,32 @@ def test_overhead_zero_iff_no_crossing_edges(cfg, calibrated):
         schedule = plan(graph, cfg, policy=policy)
         crossing = bool(schedule.crossing_edges)
         assert (schedule.overhead.total > 0) == crossing
+
+
+# SHA-256 of Schedule.to_csv(graph) + repr(schedule.overhead) for shipped
+# scenarios, graphs built as run_scenario builds them.  A change here is a
+# change of placement decisions and must be explained in CHANGES.md.
+PLACEMENT_SHA256 = {
+    "si16_cpu_only": "703bac2b5813d697ef72078b934a66d9c0e3012f72a0a487e81561bf0b89567b",
+    "si16_ndp_only": "78231c4230b1e50692a09c8b8eeb7108cf6679fc78eaffa3f8164f745f4362f4",
+    "si16_hybrid": "78231c4230b1e50692a09c8b8eeb7108cf6679fc78eaffa3f8164f745f4362f4",
+    "si64_cpu_only": "16cb98a4fabe7dd7acdc8e9c085bf0804f3b87a2bdaa27dba434c677e117864b",
+    "si64_ndp_only": "1773c783ade265bd43977bd0be833553b96fed53a74a5aeab0693dc0ac359aa6",
+    "si64_hybrid": "20ffd3bc8b1c760c8939891b6e32fe5500afc07467072a9ba188254f9e32f6fb",
+    "si256_cpu_only": "16cb98a4fabe7dd7acdc8e9c085bf0804f3b87a2bdaa27dba434c677e117864b",
+    "si256_ndp_only": "b76720562e742afea71c6a7d429b17b81e86045091b086cbb9632e858c4124fe",
+    "si256_hybrid": "a2a1d9466454f4ef3b79f11509e504afa2e3caaf1ba3e3264e8b1ddaf659d70f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLACEMENT_SHA256))
+def test_shipped_placements_are_pinned(name):
+    config = default_config()
+    scenario = next(sc for sc in config.scenarios if sc.name == name)
+    context = "cpu" if scenario.policy == "cpu_only" else "ndp"
+    graph = build_taskgraph(
+        derive_system(scenario.n_atoms, config.fixture, context=context),
+        config.fixture, pseudo_mode=scenario.pseudo_mode.value)
+    schedule = plan(graph, config.machine, policy=scenario.policy)
+    text = schedule.to_csv(graph) + repr(schedule.overhead)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLACEMENT_SHA256[name]

@@ -117,6 +117,15 @@ def test_graph_is_acyclic_and_alltoall_sees_all_partitions(calibrated):
     assert len(a2a[0].inputs) == spec.n_processes
 
 
+def test_topo_order_returns_a_fresh_list(calibrated):
+    graph = build_taskgraph(derive_system(16, calibrated), calibrated)
+    first = graph.topo_order()
+    expected = list(first)
+    first.reverse()
+    first.append("not_a_task")
+    assert graph.topo_order() == expected
+
+
 def test_every_object_is_consumed_or_terminal(calibrated):
     graph = build_taskgraph(derive_system(32, calibrated), calibrated)
     consumed = {o for t in graph.tasks for o in t.inputs}
