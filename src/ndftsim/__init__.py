@@ -18,9 +18,20 @@ from .runtime import (Arch, BlockDirectory, CommStats, MemStats, NdpRuntime,
                       PseudoMode, SharedBlock, SystemSize, footprint_model,
                       run_pseudopotential)
 from .simulator import SimulationReport, compare, simulate
-from .cli import ExperimentConfig, default_config, run_experiment, validate_config
 
 __version__ = "0.1.0"
+
+# Resolved on first access (PEP 562): importing cli here would put
+# ndftsim.cli in sys.modules before `python -m ndftsim.cli` runs it.
+_CLI_EXPORTS = ("ExperimentConfig", "default_config", "run_experiment",
+                "validate_config")
+
+
+def __getattr__(name: str):
+    if name in _CLI_EXPORTS:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Arch", "BlockDirectory", "Boundedness", "CalibrationFixture",

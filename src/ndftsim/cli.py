@@ -21,9 +21,9 @@ from .machine import (CpuSpec, HbmSpec, MachineConfig, MeshSpec, NdpSpec)
 from .runtime import PseudoMode, run_pseudopotential
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
-from .workload import (CalibrationFixture, FamilyCoefficients, FootprintParams,
-                       KernelFamily, PseudoParams, build_taskgraph,
-                       derive_system)
+from .workload import (FAMILY_KEYS, CalibrationFixture, FamilyCoefficients,
+                       FootprintParams, KernelFamily, PseudoParams,
+                       build_taskgraph, derive_system)
 
 SEED_ENV = "NDFT_SIM_SEED"
 EXIT_BAD_CONFIG = 2
@@ -101,12 +101,22 @@ def _number(value, key: str) -> int | float:
     return value
 
 
-def _numeric_fields(cls, node: dict, key: str) -> dict:
-    """Keyword arguments for a dataclass of numbers, each field checked."""
-    names = {f.name for f in fields(cls)}
+def _names(*classes) -> set[str]:
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+def _known_keys(node: dict, names: set[str], key: str = "") -> dict:
+    """The node itself, after checking that every key is one of names."""
     for k in node:
         if k not in names:
-            raise ConfigurationError("unknown field", key=f"{key}.{k}")
+            raise ConfigurationError("unknown field",
+                                     key=f"{key}.{k}" if key else str(k))
+    return node
+
+
+def _numeric_fields(cls, node: dict, key: str) -> dict:
+    """Keyword arguments for a dataclass of numbers, each field checked."""
+    _known_keys(node, _names(cls), key)
     return {k: _number(v, f"{key}.{k}") for k, v in node.items()}
 
 
@@ -118,7 +128,14 @@ def _integer(value, key: str) -> int:
                                  key=key) from None
 
 
+TOP_KEYS = {"machine", "workload", "scenarios", "output_dir"}
+# the fixture's fields, with the coefficient table spelled out per family
+WORKLOAD_KEYS = _names(CalibrationFixture) - {"families"} | set(FAMILY_KEYS)
+
+
 def _machine_from_doc(doc: dict) -> MachineConfig:
+    _known_keys(doc, _names(MachineConfig), "machine")
+
     def sub(cls, key):
         node = _mapping(doc.get(key), f"machine.{key}")
         return cls(**_numeric_fields(cls, node, f"machine.{key}"))
@@ -133,6 +150,7 @@ def _machine_from_doc(doc: dict) -> MachineConfig:
 
 
 def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
+    _known_keys(doc, WORKLOAD_KEYS, "workload")
     base = CalibrationFixture.calibrated()
 
     def scalar(name: str, optional: bool = False):
@@ -142,10 +160,13 @@ def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
         return _number(value, f"workload.{name}")
 
     families = dict(base.families)
-    for fam in ("fft", "face_split", "gemm", "alltoall", "syevd", "pseudo"):
+    for fam in FAMILY_KEYS:
         if doc.get(fam) is None:
             continue
-        node = _mapping(doc[fam], f"workload.{fam}")
+        record = (FamilyCoefficients, PseudoParams) if fam == "pseudo" \
+            else (FamilyCoefficients,)
+        node = _known_keys(_mapping(doc[fam], f"workload.{fam}"),
+                           _names(*record), f"workload.{fam}")
         # an explicit family record must be complete
         for coef in ("flop_coef", "byte_coef") if fam != "pseudo" else ():
             if coef not in node:
@@ -165,6 +186,10 @@ def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
     fp = (FootprintParams(**_numeric_fields(FootprintParams, fp_doc,
                                             "workload.footprint"))
           if fp_doc else base.footprint)
+    targets_doc = _mapping(doc.get("targets"), "workload.targets")
+    targets = ({k: _number(v, f"workload.targets.{k}")
+                for k, v in targets_doc.items()}
+               if targets_doc else base.targets)
     return replace(
         base,
         nv_per_atom=scalar("nv_per_atom"),
@@ -176,7 +201,7 @@ def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
         response_dim_base=scalar("response_dim_base", optional=True),
         response_dim_per_atom=scalar("response_dim_per_atom", optional=True),
         families=families, pseudo=pseudo, footprint=fp,
-        targets=doc.get("targets", base.targets),
+        targets=targets,
     )
 
 
@@ -190,6 +215,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"malformed document: {exc}", key=str(path))
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a mapping", key=str(path))
+    _known_keys(doc, TOP_KEYS)
     diagnostics: list[str] = []
     machine = _machine_from_doc(_mapping(doc.get("machine"), "machine"))
     fixture = _fixture_from_doc(_mapping(doc.get("workload"), "workload"),
@@ -202,6 +228,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for i, node in enumerate(nodes):
         if not isinstance(node, dict):
             raise ConfigurationError("must be a mapping", key=f"scenarios[{i}]")
+        _known_keys(node, _names(Scenario), f"scenarios[{i}]")
         try:
             mode = PseudoMode(node.get("pseudo_mode", "shared_block"))
         except ValueError:
@@ -213,11 +240,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
                                      key=f"scenarios[{i}].seed")
         seed = (_integer(env_seed, SEED_ENV) if env_seed is not None
                 else _integer(node["seed"], f"scenarios[{i}].seed"))
+        exec_pseudo = node.get("exec_pseudo", False)
+        if not isinstance(exec_pseudo, bool):
+            raise ConfigurationError(
+                f"must be a boolean, got {exec_pseudo!r}",
+                key=f"scenarios[{i}].exec_pseudo")
         scenarios.append(Scenario(
             n_atoms=_integer(node.get("n_atoms", 0), f"scenarios[{i}].n_atoms"),
             policy=str(node.get("policy", "hybrid")),
             pseudo_mode=mode, seed=seed,
-            exec_pseudo=bool(node.get("exec_pseudo", False))))
+            exec_pseudo=exec_pseudo))
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigurationError("must be a path string", key="output_dir")

@@ -45,11 +45,6 @@ class CpuSpec:
     fma_factor: int = 2          # flops per issue slot (fused multiply-add)
     link_bandwidth: float = 64e9  # bytes/s between CPU and the stack mesh
     launch_latency_s: float = 2e-6
-    # cache sizes are recorded for completeness; only the roofline ceilings
-    # are modeled
-    l1_bytes: int = 32 * KIB
-    l2_bytes: int = 256 * KIB
-    l3_bytes: int = 2 * MIB
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,6 @@ class NdpSpec:
     spm_per_core: int = 16 * KIB
     spm_per_stack: int = 256 * KIB
     launch_latency_s: float = 1e-6
-    l1_bytes: int = 32 * KIB     # recorded only, not modeled
 
 
 @dataclass(frozen=True)

@@ -179,8 +179,9 @@ class _PlanState:
     The per-graph facts (object sizes, whether a task fits in NDP memory,
     and the duration table of every task on every permitted class) are
     built once per plan() call and shared by all snapshots.  A task's
-    roofline time depends only on its unit class, so one table entry per
-    (task, class) serves every candidate unit.
+    roofline time depends only on its unit class and its (flops, bytes
+    read, bytes written) shape, so the table is filled with one estimate
+    per distinct shape and class and serves every candidate unit.
     """
 
     def __init__(self, graph: TaskGraph, cfg: MachineConfig,
@@ -206,9 +207,15 @@ class _PlanState:
                 self.obj_ready[oid] = 0.0
         self.placements: dict[str, list[UnitRef]] = {}
         probe = {UnitClass.CPU: self.cpu, UnitClass.NDP_UNIT: UnitRef.ndp(0, 0)}
-        self.duration = {cls: {t.id: estimate_time(t, probe[cls], cfg).seconds
-                               for t in graph.tasks}
-                         for cls in classes}
+        self.duration: dict[UnitClass, dict[str, float]] = {}
+        for cls in classes:
+            by_shape: dict[tuple[float, float, float], float] = {}
+            table = self.duration[cls] = {}
+            for t in graph.tasks:
+                shape = (t.flops, t.bytes_read, t.bytes_written)
+                if shape not in by_shape:
+                    by_shape[shape] = estimate_time(t, probe[cls], cfg).seconds
+                table[t.id] = by_shape[shape]
         # streaming capacity: outputs plus the largest input window must fit
         # in the NDP memory; host memory backs the CPU side
         self.fits_ndp = {
@@ -377,10 +384,14 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     ``hybrid`` chooses per stage group between the CPU and the NDP fleet;
     ``cpu_only`` / ``ndp_only`` force one class and serve as the measurement
     baselines.  Each class is scored with a one-group lookahead: the best
-    finish of the next group on the state the class leaves behind.  The
-    winner's lookahead evaluations are reused as the next group's own
-    evaluations, since committing the winner yields exactly the snapshot
-    they ran on.
+    finish of the next group on the state the class leaves behind, plus
+    the class's own boundary overhead; the lowest (score, -resident input
+    bytes, CPU first) rank wins.  Overheads are never negative, so a
+    class's score is never below its own completion plus overhead; classes
+    are visited by that floor and the lookahead stops once the floor ranks
+    above the best full rank, which no later class can beat.  The winner's
+    lookahead evaluations are reused as the next group's own evaluations,
+    since committing the winner yields exactly the snapshot they ran on.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -403,11 +414,18 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     evaluations = state.evaluate_all(groups[0][1]) if groups else {}
     for gi, (key, members) in enumerate(groups):
         nxt = groups[gi + 1][1] if gi + 1 < len(groups) else None
+        # ties: prefer the class holding more input bytes, then CPU.  The
+        # floor is each class's rank with its own completion as the score,
+        # which the lookahead score never goes below.
+        floors = sorted(
+            ((a.completion + a.overhead, -a.input_bytes_resident,
+              0 if cls is UnitClass.CPU else 1), a)
+            for cls, a in evaluations.items() if a is not None)
         best = None
-        for cls, assignment in evaluations.items():
-            if assignment is None:
-                continue
-            score = assignment.completion + assignment.overhead
+        for floor, assignment in floors:
+            if best is not None and floor > best[0]:
+                break  # neither this class nor any later one can rank first
+            score = floor[0]
             follow: dict[UnitClass, _Assignment | None] = {}
             # One-group lookahead: a placement that strands its outputs on
             # the wrong side of the boundary must pay for it now.
@@ -417,9 +435,7 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
                             for a in follow.values() if a is not None]
                 if finishes:
                     score = min(finishes) + assignment.overhead
-            # ties: prefer the class holding more input bytes, then CPU
-            rank = (score, -assignment.input_bytes_resident,
-                    0 if cls is UnitClass.CPU else 1)
+            rank = (score,) + floor[1:]
             if best is None or rank < best[0]:
                 best = (rank, assignment, follow)
         if best is None:

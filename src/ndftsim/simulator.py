@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .analyzer import estimate_time
 from .errors import DomainError, ScheduleError
@@ -21,8 +23,13 @@ from .scheduler import Schedule, scheduling_overhead
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
+    """One interval of the timeline; immutable and compared by value.
+
+    A named tuple rather than a dataclass because a run creates one per
+    task, transfer and fetch, and a tuple is the cheapest immutable record.
+    """
+
     t_start: float
     t_end: float
     kind: str            # task | transfer | cxt | comm
@@ -53,10 +60,17 @@ class SimulationReport:
 
 
 class _Links:
-    """Serialized link resources: the CPU link plus every directed mesh edge."""
+    """Serialized link resources: the CPU link plus every directed mesh edge.
+
+    The link bandwidths and the per-hop latency are read from the machine
+    once, at construction.
+    """
 
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
+        self.cpu_bw = bandwidth(Location.CPU_LINK, cfg)
+        self.mesh_bw = bandwidth(Location.MESH_HOP, cfg)
+        self.hop = cfg.interconnect.hop_latency_s
         self.free: dict[str, float] = {}
         self.routes: dict[tuple[int, int], list[str]] = {}
 
@@ -84,18 +98,15 @@ class _Links:
     def occupy(self, src: int, dst: int, n_bytes: float, ready: float,
                ) -> tuple[float, float, str]:
         """Serialize one transfer over its path; returns (start, end, path name)."""
-        cfg = self.cfg
         if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
             return ready, ready, "local"
         if src in CPU_LIKE or dst in CPU_LIKE:
-            dur = n_bytes / bandwidth(Location.CPU_LINK, cfg) \
-                + cfg.interconnect.hop_latency_s
+            dur = n_bytes / self.cpu_bw + self.hop
             start = max(ready, self.free.get("cpu_link", 0.0))
             self.free["cpu_link"] = start + dur
             return start, start + dur, "cpu_link"
         links = self._mesh_route(src, dst)
-        per_link = n_bytes / bandwidth(Location.MESH_HOP, cfg) \
-            + cfg.interconnect.hop_latency_s
+        per_link = n_bytes / self.mesh_bw + self.hop
         t = ready
         first = links[0] if links else "local"
         for name in links:
@@ -142,35 +153,41 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
 
     task_loc = {t.id: schedule.placements[t.id][0].location()
                 for t in graph.tasks}
-
-    def obj_location(oid: str) -> int:
-        prod = graph.producers.get(oid)
-        if prod is None:
-            init = graph.data_objects[oid].initial_location
-            if init is None:
-                raise ScheduleError(f"object {oid} has no producer or home")
-            return init
-        return task_loc[prod]
-
-    order = graph.topo_order()
+    producers = graph.producers
+    objects = graph.data_objects
+    unit_name: dict[UnitRef, str] = {}
+    # estimate_time depends only on the unit class, the split and the
+    # task's (flops, bytes read, bytes written) shape
+    durations: dict[tuple, float] = {}
     task_end: dict[str, float] = {}
 
-    for tid in order:
+    for tid in graph.topo_order():
         task = graph.task(tid)
+        family = task.family
         units = schedule.placements[tid]
         n_units = len(units)
         end_times = []
         for u in units:
             u_loc = u.location()
+            name = unit_name.get(u)
+            if name is None:
+                name = unit_name[u] = str(u)
             free = unit_free.get(u, 0.0)
             data_ready = 0.0
-            if task.family is not KernelFamily.ALLTOALL:
+            if family is not KernelFamily.ALLTOALL:
                 for oid in task.inputs:
-                    prod = graph.producers.get(oid)
-                    avail = task_end.get(prod, 0.0) if prod else 0.0
-                    src = obj_location(oid)
+                    prod = producers.get(oid)
+                    if prod is None:
+                        avail = 0.0
+                        src = objects[oid].initial_location
+                        if src is None:
+                            raise ScheduleError(
+                                f"object {oid} has no producer or home")
+                    else:
+                        avail = task_end.get(prod, 0.0)
+                        src = task_loc[prod]
                     if src != u_loc and not (src in CPU_LIKE and u_loc in CPU_LIKE):
-                        size = graph.data_objects[oid].size
+                        size = objects[oid].size
                         start, end, link = links.occupy(src, u_loc, size, avail)
                         timeline.append(TimelineEvent(
                             start, end, "transfer", link, f"{oid}->{tid}", size))
@@ -182,28 +199,33 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                     data_ready = max(data_ready, avail)
             else:
                 for oid in task.inputs:
-                    prod = graph.producers.get(oid)
+                    prod = producers.get(oid)
                     data_ready = max(data_ready, task_end.get(prod, 0.0) if prod else 0.0)
             start = max(free, data_ready)
             n_cxt = cxt_per_consumer.get(tid, 0)
             if n_cxt and cfg.cxt_s > 0:
                 timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
-                                              "cxt", str(u), tid))
+                                              "cxt", name, tid))
                 start += n_cxt * cfg.cxt_s
-            if task.family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
+            if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
                 start = max(start, pseudo_gate[u_loc])
-            if task.family is KernelFamily.ALLTOALL:
+            if family is KernelFamily.ALLTOALL:
                 dur, moved = _alltoall_phase(task, schedule, graph, cfg, links,
                                              start, timeline, comm)
                 transferred += moved
             else:
-                dur = estimate_time(task, u, cfg, split=n_units).seconds
+                shape = (u.cls, n_units, task.flops, task.bytes_read,
+                         task.bytes_written)
+                dur = durations.get(shape)
+                if dur is None:
+                    dur = durations[shape] = estimate_time(
+                        task, u, cfg, split=n_units).seconds
             end = start + dur
             unit_free[u] = end
             end_times.append(end)
-            busy.setdefault(u, {}).setdefault(task.family, 0.0)
-            busy[u][task.family] += dur
-            timeline.append(TimelineEvent(start, end, "task", str(u), tid))
+            fams = busy.setdefault(u, {})
+            fams[family] = fams.get(family, 0.0) + dur
+            timeline.append(TimelineEvent(start, end, "task", name, tid))
         task_end[tid] = max(end_times)
 
     makespan = max((max(ev.t_end for ev in timeline) if timeline else 0.0),
@@ -220,7 +242,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         mode.value: footprint_for_atoms(graph.system.n_atoms, arch, mode, fixture)
         for mode in PseudoMode
     }
-    timeline.sort(key=lambda ev: (ev.t_start, ev.t_end, ev.unit, ev.task_or_object))
+    timeline.sort(key=attrgetter("t_start", "t_end", "unit", "task_or_object"))
     return SimulationReport(
         makespan=makespan, per_family_time=per_family, overhead=overhead,
         comm=comm, footprints=footprints, timeline=timeline,

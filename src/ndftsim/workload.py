@@ -30,6 +30,11 @@ class KernelFamily(enum.Enum):
     OTHER = "other"
 
 
+# Families that carry cost coefficients (every family but OTHER), in the
+# order configs list them.
+FAMILY_KEYS = ("fft", "face_split", "gemm", "alltoall", "syevd", "pseudo")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     n_atoms: int
@@ -173,7 +178,7 @@ class CalibrationFixture:
                             ("orbital_groups_max", self.orbital_groups_max)):
             if value < 1:
                 bad.append(f"workload.{name}: must be >= 1")
-        for key in ("fft", "face_split", "gemm", "alltoall", "syevd", "pseudo"):
+        for key in FAMILY_KEYS:
             if key not in self.families:
                 bad.append(f"workload.{key}: missing family coefficients")
             else:
@@ -392,6 +397,17 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         objects[oid] = DataObject(oid, int(size), initial)
         return oid
 
+    # Most tasks of a stage share one shape; evaluate each distinct set of
+    # arguments once.  Types are part of the key, so 2 and 2.0 stay apart.
+    costs: dict[tuple, tuple[float, float, float]] = {}
+
+    def cost(family: KernelFamily, **size) -> tuple[float, float, float]:
+        key = (family, tuple(size.items()), tuple(map(type, size.values())))
+        out = costs.get(key)
+        if out is None:
+            out = costs[key] = kernel_cost(family, fixture, **size)
+        return out
+
     # Stage 1: orbital transforms, one task per orbital group.
     orbital_groups: dict[str, list[tuple[str, int]]] = {"v": [], "c": []}
     for kind, total, groups in (("v", nv, gv), ("c", nc, gc)):
@@ -399,7 +415,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         for i, norb in enumerate(sizes):
             raw = add_object(f"orb_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, HOST)
             out = add_object(f"orbhat_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, None)
-            fl, br, bw = kernel_cost(KernelFamily.FFT, fixture, n=nr, count=norb)
+            fl, br, bw = cost(KernelFamily.FFT, n=nr, count=norb)
             tasks.append(KernelDescriptor(
                 id=f"s1_fft_orb_{kind}_{i:04d}", family=KernelFamily.FFT,
                 flops=fl, bytes_read=br, bytes_written=bw,
@@ -419,13 +435,13 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         vin = orbital_groups["v"][i][0]
         cin = orbital_groups["c"][j][0]
         prod = add_object(f"prod_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
-        fl, br, bw = kernel_cost(KernelFamily.FACE_SPLIT, fixture, n=nr, count=pairs)
+        fl, br, bw = cost(KernelFamily.FACE_SPLIT, n=nr, count=pairs)
         tasks.append(KernelDescriptor(
             id=f"s2_face_{idx:04d}", family=KernelFamily.FACE_SPLIT,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=(vin, cin), outputs=(prod,)))
         phat = add_object(f"prodhat_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
-        fl, br, bw = kernel_cost(KernelFamily.FFT, fixture, n=nr, count=pairs)
+        fl, br, bw = cost(KernelFamily.FFT, n=nr, count=pairs)
         tasks.append(KernelDescriptor(
             id=f"s3_fft_prod_{idx:04d}", family=KernelFamily.FFT,
             flops=fl, bytes_read=br, bytes_written=bw,
@@ -446,9 +462,9 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     for p in range(procs):
         cells = cells_per_proc[p]
         owned = len(range(p, spec.n_atoms, procs))
-        fl, br, bw = kernel_cost(KernelFamily.PSEUDO, fixture,
-                                 wavefunctions=wf_per_proc[p], atoms=spec.n_atoms,
-                                 owned_atoms=owned, copy_bytes=copy_bytes)
+        fl, br, bw = cost(KernelFamily.PSEUDO,
+                          wavefunctions=wf_per_proc[p], atoms=spec.n_atoms,
+                          owned_atoms=owned, copy_bytes=copy_bytes)
         outs = []
         for idx, cell_obj, pairs in cells:
             out = add_object(f"pstate_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
@@ -468,7 +484,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     resp_parts: list[str] = []
     for outs, p in pstate:
         rows = max(sum(pairs for _, pairs in outs), 1)
-        fl, br, bw = kernel_cost(KernelFamily.GEMM, fixture, m=rows, n=d_resp, k=nr)
+        fl, br, bw = cost(KernelFamily.GEMM, m=rows, n=d_resp, k=nr)
         rt = add_object(f"resp_{p:04d}", REAL_BYTES * rows * d_resp, None)
         tasks.append(KernelDescriptor(
             id=f"s5_gemm_{p:04d}", family=KernelFamily.GEMM,

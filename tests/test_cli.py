@@ -142,6 +142,15 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     (("workload", "fft"), 5, "workload.fft"),
     (("scenarios", 0, "n_atoms"), "abc", "scenarios[0].n_atoms"),
     (("output_dir",), 3, "output_dir"),
+    (("workload", "targets"), 3, "workload.targets"),
+    (("workload", "targets"), {"speedup_si_64": "x"},
+     "workload.targets.speedup_si_64"),
+    (("scenarios", 0, "exec_pseudo"), "nope", "scenarios[0].exec_pseudo"),
+    (("workload", "nv_per_atm"), 2, "workload.nv_per_atm"),
+    (("machin",), {}, "machin: unknown field"),
+    (("scenarios", 0, "polcy"), "hybrid", "scenarios[0].polcy"),
+    (("workload", "gemm", "flop_coeff"), 1.0, "workload.gemm.flop_coeff"),
+    (("machine", "cpu", "l1_bytes"), 32768, "machine.cpu.l1_bytes"),
 ])
 def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
                                               value, key):
@@ -156,6 +165,14 @@ def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
     assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
     assert key in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_run_prints_no_runtime_warning(config_file):
+    # python -m ndftsim.cli must find ndftsim.cli not yet imported by the
+    # package, or runpy warns on every invocation
+    proc = cli("validate", str(config_file))
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_cli_capacity_error_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from ndftsim.cli import default_config
 from ndftsim.errors import CapacityError, DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MachineConfig, UnitClass, UnitRef)
-from ndftsim.scheduler import (Schedule, Transfer, plan,
+from ndftsim.scheduler import (Schedule, Transfer, _PlanState, plan,
                                schedule_from_placements, scheduling_overhead,
                                transfer_cost)
 from ndftsim.simulator import simulate
@@ -187,6 +188,65 @@ def test_chain_placement_matches_brute_force():
         assert schedule.placements["b"][0].cls is b_best
 
 
+def unpruned_hybrid_plan(graph, cfg) -> Schedule:
+    """Reference for plan(policy="hybrid"): every class of every group runs
+    its full lookahead, and nothing is reused between groups."""
+    state = _PlanState(graph, cfg, [UnitClass.CPU, UnitClass.NDP_UNIT])
+    groups: dict[str, list] = {}
+    for tid in graph.topo_order():
+        groups.setdefault(tid.rsplit("_", 1)[0], []).append(graph.task(tid))
+    groups = list(groups.values())
+    for gi, members in enumerate(groups):
+        best = None
+        for cls, a in state.evaluate_all(members).items():
+            if a is None:
+                continue
+            score = a.completion + a.overhead
+            if gi + 1 < len(groups):
+                follow = state.snapshot(members, a).evaluate_all(groups[gi + 1])
+                finishes = [max(a.completion, f.completion) + f.overhead
+                            for f in follow.values() if f is not None]
+                if finishes:
+                    score = min(finishes) + a.overhead
+            rank = (score, -a.input_bytes_resident,
+                    0 if cls is UnitClass.CPU else 1)
+            if best is None or rank < best[0]:
+                best = (rank, a)
+        state.commit(members, best[1])
+    return schedule_from_placements(graph, cfg, state.placements, "hybrid")
+
+
+def random_stage_graph(rng: random.Random):
+    """Stages of 1-4 tiles; each tile reads host data or earlier outputs."""
+    tasks, objects, produced = [], {}, []
+    for stage in range(rng.randint(2, 6)):
+        outs = []
+        for i in range(rng.randint(1, 4)):
+            host = f"in_{stage}_{i}"
+            objects[host] = int(10 ** rng.uniform(3, 9))
+            ins = [host] + rng.sample(produced, min(len(produced),
+                                                    rng.randint(0, 2)))
+            out = f"o{stage}_{i}"
+            objects[out] = int(10 ** rng.uniform(3, 9.5))
+            total = 10 ** rng.uniform(5, 10)
+            tasks.append({"id": f"s{stage}_{i}", "family": KernelFamily.OTHER,
+                          "flops": 10 ** rng.uniform(6, 12),
+                          "br": total * 0.7, "bw": total * 0.3,
+                          "inputs": tuple(ins), "outputs": (out,)})
+            outs.append(out)
+        produced += outs
+    return make_graph(tasks, objects)
+
+
+@pytest.mark.parametrize("cxt", [0.0, 5e-6, 1e-3, 100.0])
+def test_lookahead_pruning_matches_full_lookahead(cxt):
+    cfg = small_cxt_config(cxt)
+    for seed in range(40):
+        graph = random_stage_graph(random.Random(seed))
+        assert plan(graph, cfg, "hybrid").placements == \
+            unpruned_hybrid_plan(graph, cfg).placements, seed
+
+
 def test_plan_is_deterministic(cfg, calibrated):
     graph = build_taskgraph(derive_system(16, calibrated), calibrated)
     a = plan(graph, cfg, policy="hybrid")
@@ -257,17 +317,25 @@ PLACEMENT_SHA256 = {
     "si256_cpu_only": "16cb98a4fabe7dd7acdc8e9c085bf0804f3b87a2bdaa27dba434c677e117864b",
     "si256_ndp_only": "b76720562e742afea71c6a7d429b17b81e86045091b086cbb9632e858c4124fe",
     "si256_hybrid": "a2a1d9466454f4ef3b79f11509e504afa2e3caaf1ba3e3264e8b1ddaf659d70f",
+    # "@cxt<seconds>": the same scenario on a machine with that cxt_s; the
+    # handoff constant moves which class the lookahead can still rank first
+    "si64_hybrid@cxt0": "299640de4cbb18a184900e74babe4673a3aa1ca6574b9e91dff3131fc95653a9",
+    "si64_hybrid@cxt100": "eea47dd39d8ed51991b7f991fbe6a6c2ccf37a34b27ff713c9caf1b7ef7fd85f",
+    "si256_hybrid@cxt0": "0a7f01152b11fdd787f388f95ef2f3fdc605bb1d03bcc2e512804d1089b77e56",
+    "si256_hybrid@cxt100": "185f9bf33eb3d280257e6473a9792af1f900bb0afca0c8c49609b46a2c672341",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLACEMENT_SHA256))
 def test_shipped_placements_are_pinned(name):
     config = default_config()
-    scenario = next(sc for sc in config.scenarios if sc.name == name)
+    scenario_name, _, cxt = name.partition("@cxt")
+    machine = config.machine.with_cxt(float(cxt)) if cxt else config.machine
+    scenario = next(sc for sc in config.scenarios if sc.name == scenario_name)
     context = "cpu" if scenario.policy == "cpu_only" else "ndp"
     graph = build_taskgraph(
         derive_system(scenario.n_atoms, config.fixture, context=context),
         config.fixture, pseudo_mode=scenario.pseudo_mode.value)
-    schedule = plan(graph, config.machine, policy=scenario.policy)
+    schedule = plan(graph, machine, policy=scenario.policy)
     text = schedule.to_csv(graph) + repr(schedule.overhead)
     assert hashlib.sha256(text.encode()).hexdigest() == PLACEMENT_SHA256[name]

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from ndftsim.errors import DomainError, ScheduleError
@@ -134,3 +137,31 @@ def test_timeline_csv_header(cfg, calibrated):
     report, _, _ = scenario_report(cfg, calibrated, 16, "ndp_only")
     header = report.timeline_csv().split("\n", 1)[0]
     assert header == "t_start,t_end,kind,unit,task_or_object,bytes"
+
+
+# SHA-256 of timeline_csv() + repr(per_family_time) + repr(comm) for two
+# scenarios, graphs built as run_scenario builds them.  si1024 ndp_only with
+# 16 orbital groups is the fetch-heavy path (thousands of pseudopotential
+# fetches through the link FIFOs).  A change here is a change of simulated
+# behaviour and must be explained in CHANGES.md.
+TIMELINE_SHA256 = {
+    (64, "hybrid", None):
+        "4c88d40feeeed5b9fcf2107d8d285cb582491a35ee8fe05a72e37250ba359876",
+    (1024, "ndp_only", 16):
+        "a0584574a6b345edddb56c9990e3d315e8aeb7a0738b033ff0022796fc80ae21",
+}
+
+
+@pytest.mark.parametrize("atoms, policy, groups", list(TIMELINE_SHA256))
+def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups):
+    fixture = (calibrated if groups is None
+               else dataclasses.replace(calibrated, orbital_groups_max=groups))
+    graph = build_taskgraph(derive_system(atoms, fixture, context="ndp"),
+                            fixture, pseudo_mode="shared_block")
+    schedule = plan(graph, cfg, policy=policy)
+    report = simulate(schedule, graph, cfg, fixture,
+                      pseudo_mode=PseudoMode.SHARED_BLOCK)
+    text = (report.timeline_csv() + repr(report.per_family_time)
+            + repr(report.comm))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == TIMELINE_SHA256[(atoms, policy, groups)]
