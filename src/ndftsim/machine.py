@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigurationError, DomainError
 
@@ -102,6 +104,11 @@ class MachineConfig:
     @property
     def stack_capacity(self) -> int:
         return self.ndp.units_per_stack * self.ndp.capacity_per_unit
+
+    @cached_property
+    def links(self) -> "LinkModel":
+        """The machine's link model, built once per config."""
+        return LinkModel(self)
 
     def validate(self) -> list[str]:
         """Return a list of '<key>: <problem>' diagnostics; empty means valid."""
@@ -266,3 +273,102 @@ def mesh_hops(src_stack: int, dst_stack: int, cfg: MachineConfig) -> int:
     sx, sy = stack_coords(src_stack, cfg)
     dx, dy = stack_coords(dst_stack, cfg)
     return abs(sx - dx) + abs(sy - dy)
+
+
+class PathKind(enum.Enum):
+    LOCAL = "local"
+    CPU_LINK = "cpu_link"
+    MESH = "mesh"
+
+
+class Path(NamedTuple):
+    """How a move between two endpoints travels.
+
+    ``route`` lists the link ids the move occupies, X then Y on the mesh;
+    ``name`` is the timeline name of the move (its first link).
+    """
+
+    kind: PathKind
+    bw: float        # bytes/s of every link on the route
+    latency: float   # seconds an uncontended move adds to n / bw
+    route: tuple[int, ...]
+    name: str
+
+    def seconds(self, n_bytes: float) -> float:
+        """Uncontended price of moving n_bytes along the path."""
+        if self.kind is PathKind.LOCAL:
+            return 0.0
+        return n_bytes / self.bw + self.latency
+
+
+LOCAL_PATH = Path(PathKind.LOCAL, 0.0, 0.0, (), "local")
+
+
+class LinkModel:
+    """The one model of where moves go and what they cost.
+
+    Endpoints are HOST, CPU_SIDE and the stack ids 0..total_stacks-1.  Host
+    memory sits on the CPU side, so HOST <-> CPU_SIDE and same-endpoint
+    moves are local and free.  A move with one CPU-side end crosses the CPU
+    link (link id 0, latency one hop); a stack-to-stack move takes the
+    X-then-Y Manhattan route over directed mesh links (latency one hop per
+    link).  Anything else raises DomainError.
+
+    The two users charge the same route differently.  The planner prices a
+    move cut-through, ``n / bw + hops * hop`` (Path.seconds): a 3-hop 1 MB
+    move costs 31.55 us.  The simulator's link FIFOs replay it
+    store-and-forward, each link in turn taking ``n / bw + hop``: the same
+    move occupies the mesh for 94.05 us uncontended.  That split is part of
+    the model's planner-vs-simulator gap, not an accident of either caller.
+
+    Paths are built on first use and kept, one per ordered endpoint pair.
+    """
+
+    CPU_LINK_ID = 0
+
+    def __init__(self, cfg: MachineConfig):
+        self.cfg = cfg
+        self.total_stacks = cfg.total_stacks
+        self.hop = cfg.interconnect.hop_latency_s
+        # the CPU link, then four directed links (+x, -x, +y, -y) per stack
+        self.n_links = 1 + 4 * self.total_stacks
+        self._paths: dict[tuple[int, int], Path] = {}
+
+    def path(self, src: int, dst: int) -> Path:
+        found = self._paths.get((src, dst))
+        if found is None:
+            found = self._paths[(src, dst)] = self._build(src, dst)
+        return found
+
+    def _build(self, src: int, dst: int) -> Path:
+        for loc in (src, dst):
+            if not HOST <= loc < self.total_stacks:
+                raise DomainError(
+                    f"unknown location {loc}: endpoints are HOST ({HOST}), "
+                    f"CPU_SIDE ({CPU_SIDE}) and stacks 0..{self.total_stacks - 1}")
+        cfg = self.cfg
+        if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
+            return LOCAL_PATH
+        if src in CPU_LIKE or dst in CPU_LIKE:
+            return Path(PathKind.CPU_LINK, bandwidth(Location.CPU_LINK, cfg),
+                        self.hop, (self.CPU_LINK_ID,), "cpu_link")
+        x, y = stack_coords(src, cfg)
+        dx, dy = stack_coords(dst, cfg)
+        hops = []
+        while x != dx:
+            tx = x + (1 if dx > x else -1)
+            hops.append((x, y, tx, y))
+            x = tx
+        while y != dy:
+            ty = y + (1 if dy > y else -1)
+            hops.append((x, y, x, ty))
+            y = ty
+        route = tuple(self._link_id(*hop) for hop in hops)
+        return Path(PathKind.MESH, bandwidth(Location.MESH_HOP, cfg),
+                    mesh_hops(src, dst, cfg) * self.hop, route,
+                    "mesh:{},{}-{},{}".format(*hops[0]))
+
+    def _link_id(self, x: int, y: int, tx: int, ty: int) -> int:
+        """Id of the directed mesh link from stack (x, y) to its neighbour."""
+        direction = (0 if tx > x else 1) if tx != x else (2 if ty > y else 3)
+        return 1 + 4 * (y * self.cfg.ndp.stacks_x + x) + direction

@@ -461,20 +461,28 @@ def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
         s = workers[p].location()
         accesses_per_stack[s] = accesses_per_stack.get(s, 0) + wf_count[p]
     comm.intra_stack_bytes += spec.n_atoms * block_bytes  # distribution writes
+    readers = [(s, n_acc) for s, n_acc in sorted(accesses_per_stack.items())
+               if n_acc > 0]
+    # An atom's traffic depends only on its owner stack: every reader stack
+    # reads the block locally, and every other stack fetches it once and
+    # serves the rest of its reads from its cache.
+    per_owner: dict[int, tuple[tuple, int, int]] = {}
     fetches = []
     for a in range(spec.n_atoms):
         owner_stack = workers[a % procs].location()
-        for s in sorted(accesses_per_stack):
-            n_acc = accesses_per_stack[s]
-            if n_acc == 0:
-                continue
-            comm.intra_stack_bytes += n_acc * block_bytes  # local reads
-            if s == owner_stack:
-                continue
-            comm.inter_stack_messages += 1
-            comm.inter_stack_bytes += block_bytes
-            comm.requests_served_from_cache += n_acc - 1
-            fetches.append((owner_stack, s, block_bytes))
+        row = per_owner.get(owner_stack)
+        if row is None:
+            remote = [(s, n_acc) for s, n_acc in readers if s != owner_stack]
+            row = per_owner[owner_stack] = (
+                tuple((owner_stack, s, block_bytes) for s, _ in remote),
+                sum(n_acc for _, n_acc in readers) * block_bytes,  # local reads
+                sum(n_acc - 1 for _, n_acc in remote))
+        row_fetches, local_reads, cache_hits = row
+        fetches += row_fetches
+        comm.intra_stack_bytes += local_reads
+        comm.inter_stack_messages += len(row_fetches)
+        comm.inter_stack_bytes += len(row_fetches) * block_bytes
+        comm.requests_served_from_cache += cache_hits
     return PseudoTrace(comm=comm, fetches=tuple(fetches),
                        footprint_bytes=spec.n_atoms * block_bytes
                        + 24 * spec.n_atoms * cfg.total_stacks + wf_bytes)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
-from .machine import (CPU_LIKE, CPU_SIDE, HOST, Location, MachineConfig,
-                      UnitClass, UnitRef, bandwidth, mesh_hops)
+from .machine import (CPU_SIDE, HOST, LOCAL_PATH, MachineConfig, PathKind,
+                      UnitClass, UnitRef)
 from .workload import KernelFamily, TaskGraph
 
 POLICIES = ("hybrid", "cpu_only", "ndp_only")
@@ -86,22 +86,15 @@ class Schedule:
 def transfer_cost(n_bytes: float, src: int, dst: int, cfg: MachineConfig) -> float:
     """Seconds to move bytes between two endpoints, uncontended.
 
-    Host memory sits on the CPU side, one hop from any stack over the CPU
-    link; stacks reach each other over mesh links with Manhattan-distance
-    hops.  Same endpoint (or host<->CPU) costs nothing.
+    The machine's LinkModel routes and prices the move: host memory sits on
+    the CPU side, one hop from any stack over the CPU link; stacks reach
+    each other over mesh links with Manhattan-distance hops.  Same endpoint
+    (or host<->CPU) costs nothing; an endpoint outside the machine is a
+    DomainError.
     """
     if n_bytes < 0:
         raise DomainError("transfer bytes must be >= 0")
-    for loc in (src, dst):
-        if loc < HOST:
-            raise DomainError(f"unknown location {loc}")
-    if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
-        return 0.0
-    hop = cfg.interconnect.hop_latency_s
-    if src in CPU_LIKE or dst in CPU_LIKE:
-        return n_bytes / bandwidth(Location.CPU_LINK, cfg) + 1 * hop
-    hops = mesh_hops(src, dst, cfg)
-    return n_bytes / bandwidth(Location.MESH_HOP, cfg) + hops * hop
+    return cfg.links.path(src, dst).seconds(n_bytes)
 
 
 def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreakdown:
@@ -130,12 +123,18 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
     """
     transfers: list[Transfer] = []
     crossings: list[tuple[str, str, str]] = []
+    path = cfg.links.path
+    unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
     for tid in graph.topo_order():
         task = graph.task(tid)
         if tid not in placements or not placements[tid]:
             raise ScheduleError(f"task {tid} has no placement")
-        dst = location[tid] = placements[tid][0].location()
+        for unit in placements[tid]:
+            if unit not in unit_loc:
+                unit.check_against(cfg)
+                unit_loc[unit] = unit.location()
+        dst = location[tid] = unit_loc[placements[tid][0]]
         if task.family is KernelFamily.ALLTOALL:
             continue
         for oid in task.inputs:
@@ -146,7 +145,7 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
                     raise ScheduleError(f"object {oid} has no producer or home")
             else:
                 src = location[producer]
-            if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
+            if src == dst or path(src, dst).kind is PathKind.LOCAL:
                 continue
             transfers.append(Transfer(
                 object_id=oid, bytes=graph.data_objects[oid].size,
@@ -198,6 +197,7 @@ class _PlanState:
         self.ndp_free = [0.0] * len(self.ndp_units)
         self.cpu_free = 0.0
         self.link_free = 0.0  # CPU link cursor for staging serialization
+        self.path = cfg.links.path
         self.size = {oid: obj.size for oid, obj in graph.data_objects.items()}
         self.obj_loc: dict[str, int] = {}
         self.obj_ready: dict[str, float] = {}
@@ -223,8 +223,6 @@ class _PlanState:
             + max((self.size[o] for o in t.inputs), default=0)
             <= cfg.hbm.total_capacity
             for t in graph.tasks}
-        # transfer_cost per (object, src, dst), filled as moves are staged
-        self.move_s: dict[tuple[str, int, int], float] = {}
 
     def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":
         """Clone with the assignment committed, for lookahead evaluation.
@@ -273,12 +271,11 @@ class _PlanState:
                 raise ScheduleError(f"object {oid} consumed before production")
             src = self.obj_loc[oid]
             avail = self.obj_ready[oid]
-            if src != dst and not (src in CPU_LIKE and dst in CPU_LIKE):
-                dt = self.move_s.get((oid, src, dst))
-                if dt is None:
-                    dt = transfer_cost(self.size[oid], src, dst, cfg)
-                    self.move_s[(oid, src, dst)] = dt
-                if src in CPU_LIKE or dst in CPU_LIKE:
+            # most inputs are already in place: skip the lookup for those
+            path = LOCAL_PATH if src == dst else self.path(src, dst)
+            if path.kind is not PathKind.LOCAL:
+                dt = path.seconds(self.size[oid])
+                if path.kind is PathKind.CPU_LINK:
                     # the CPU link is a serialized resource
                     start = max(avail, link_free)
                     link_free = start + dt

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .analyzer import estimate_time
 from .errors import DomainError, ScheduleError
-from .machine import (CPU_LIKE, CPU_SIDE, Location, MachineConfig, UnitClass,
-                      UnitRef, bandwidth)
+from .machine import (CPU_SIDE, LOCAL_PATH, LinkModel, MachineConfig, Path,
+                      PathKind, UnitClass, UnitRef)
 from .runtime import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
 from .scheduler import Schedule, scheduling_overhead
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
@@ -59,61 +59,27 @@ class SimulationReport:
         return out.getvalue()
 
 
-class _Links:
-    """Serialized link resources: the CPU link plus every directed mesh edge.
+def _occupy(free: list[float], path: Path, n_bytes: float, ready: float,
+            hop: float) -> tuple[float, float]:
+    """Serialize one move over its route's link FIFOs; returns (start, end).
 
-    The link bandwidths and the per-hop latency are read from the machine
-    once, at construction.
+    ``free`` holds each link's next free time, indexed by link id.  Every
+    link takes n / bw + hop in turn (store-and-forward); a CPU-link move
+    reports its queued start, a mesh move the time it was ready.
     """
-
-    def __init__(self, cfg: MachineConfig):
-        self.cfg = cfg
-        self.cpu_bw = bandwidth(Location.CPU_LINK, cfg)
-        self.mesh_bw = bandwidth(Location.MESH_HOP, cfg)
-        self.hop = cfg.interconnect.hop_latency_s
-        self.free: dict[str, float] = {}
-        self.routes: dict[tuple[int, int], list[str]] = {}
-
-    def _mesh_route(self, src: int, dst: int) -> list[str]:
-        """X-then-Y Manhattan route as a list of directed link names,
-        computed once per (src, dst) pair."""
-        if (src, dst) in self.routes:
-            return self.routes[(src, dst)]
-        cfg = self.cfg
-        sx, sy = src % cfg.ndp.stacks_x, src // cfg.ndp.stacks_x
-        dx, dy = dst % cfg.ndp.stacks_x, dst // cfg.ndp.stacks_x
-        links = []
-        x, y = sx, sy
-        while x != dx:
-            nx = x + (1 if dx > x else -1)
-            links.append(f"mesh:{x},{y}-{nx},{y}")
-            x = nx
-        while y != dy:
-            ny = y + (1 if dy > y else -1)
-            links.append(f"mesh:{x},{y}-{x},{ny}")
-            y = ny
-        self.routes[(src, dst)] = links
-        return links
-
-    def occupy(self, src: int, dst: int, n_bytes: float, ready: float,
-               ) -> tuple[float, float, str]:
-        """Serialize one transfer over its path; returns (start, end, path name)."""
-        if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
-            return ready, ready, "local"
-        if src in CPU_LIKE or dst in CPU_LIKE:
-            dur = n_bytes / self.cpu_bw + self.hop
-            start = max(ready, self.free.get("cpu_link", 0.0))
-            self.free["cpu_link"] = start + dur
-            return start, start + dur, "cpu_link"
-        links = self._mesh_route(src, dst)
-        per_link = n_bytes / self.mesh_bw + self.hop
-        t = ready
-        first = links[0] if links else "local"
-        for name in links:
-            start = max(t, self.free.get(name, 0.0))
-            self.free[name] = start + per_link
-            t = start + per_link
-        return ready, t, first
+    if path.kind is PathKind.LOCAL:
+        return ready, ready
+    step = n_bytes / path.bw + hop
+    if path.kind is PathKind.CPU_LINK:
+        link = path.route[0]
+        start = max(ready, free[link])
+        free[link] = end = start + step
+        return start, end
+    t = ready
+    for link in path.route:
+        start = max(t, free[link])
+        free[link] = t = start + step
+    return ready, t
 
 
 def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
@@ -121,11 +87,23 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
              pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK,
              ) -> SimulationReport:
     """Run the event model and report makespan, breakdowns, and traffic."""
+    placements = schedule.placements
+    unit_loc: dict[UnitRef, int] = {}
+    unit_name: dict[UnitRef, str] = {}
+    task_loc: dict[str, int] = {}
     for t in graph.tasks:
-        if t.id not in schedule.placements or not schedule.placements[t.id]:
+        units = placements.get(t.id)
+        if not units:
             raise ScheduleError(f"task {t.id} has no placement")
+        for u in units:
+            if u not in unit_loc:
+                unit_loc[u] = u.location()
+                unit_name[u] = str(u)
+        task_loc[t.id] = unit_loc[units[0]]
 
-    links = _Links(cfg)
+    links = cfg.links
+    hop = links.hop
+    free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
     unit_free: dict[UnitRef, float] = {}
     timeline: list[TimelineEvent] = []
     busy: dict[UnitRef, dict[KernelFamily, float]] = {}
@@ -142,20 +120,35 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     has_ndp_pseudo = any(
         u.cls is UnitClass.NDP_UNIT
         for t in graph.tasks if t.family is KernelFamily.PSEUDO
-        for u in schedule.placements[t.id])
+        for u in placements[t.id])
     if has_ndp_pseudo:
-        for src, dst, n_bytes in trace.fetches:
-            start, end, link = links.occupy(src, dst, n_bytes, 0.0)
-            pseudo_gate[dst] = max(pseudo_gate.get(dst, 0.0), end)
-            timeline.append(TimelineEvent(start, end, "comm", link,
-                                          f"pseudo_block:{src}->{dst}", n_bytes))
+        # Fetches run stack to stack, all ready at 0, over mesh routes.  The
+        # trace repeats a few (src, dst, bytes) rows, so each row is routed
+        # and labelled once.  The replay is _occupy's mesh case, inlined
+        # with max() spelled out (it runs once per fetch and link): `b if b
+        # > a else a` is what max(a, b) returns, so every float is the same.
+        rows: dict[tuple[int, int, int], tuple] = {}
+        for fetch in trace.fetches:
+            src, dst, n_bytes = fetch
+            row = rows.get(fetch)
+            if row is None:
+                path = links.path(src, dst)
+                row = rows[fetch] = (path.route, n_bytes / path.bw + hop,
+                                     path.name, f"pseudo_block:{src}->{dst}")
+            route, step, name, label = row
+            end = 0.0
+            for link in route:
+                queued = free[link]
+                start = queued if queued > end else end
+                free[link] = end = start + step
+            gate = pseudo_gate.get(dst, 0.0)
+            pseudo_gate[dst] = end if end > gate else gate
+            timeline.append(TimelineEvent(0.0, end, "comm", name, label, n_bytes))
             transferred += n_bytes
 
-    task_loc = {t.id: schedule.placements[t.id][0].location()
-                for t in graph.tasks}
+    path_of = links.path
     producers = graph.producers
     objects = graph.data_objects
-    unit_name: dict[UnitRef, str] = {}
     # estimate_time depends only on the unit class, the split and the
     # task's (flops, bytes read, bytes written) shape
     durations: dict[tuple, float] = {}
@@ -164,15 +157,13 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     for tid in graph.topo_order():
         task = graph.task(tid)
         family = task.family
-        units = schedule.placements[tid]
+        units = placements[tid]
         n_units = len(units)
         end_times = []
         for u in units:
-            u_loc = u.location()
-            name = unit_name.get(u)
-            if name is None:
-                name = unit_name[u] = str(u)
-            free = unit_free.get(u, 0.0)
+            u_loc = unit_loc[u]
+            name = unit_name[u]
+            free_at = unit_free.get(u, 0.0)
             data_ready = 0.0
             if family is not KernelFamily.ALLTOALL:
                 for oid in task.inputs:
@@ -186,13 +177,15 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                     else:
                         avail = task_end.get(prod, 0.0)
                         src = task_loc[prod]
-                    if src != u_loc and not (src in CPU_LIKE and u_loc in CPU_LIKE):
+                    path = LOCAL_PATH if src == u_loc else path_of(src, u_loc)
+                    if path.kind is not PathKind.LOCAL:
                         size = objects[oid].size
-                        start, end, link = links.occupy(src, u_loc, size, avail)
+                        start, end = _occupy(free, path, size, avail, hop)
                         timeline.append(TimelineEvent(
-                            start, end, "transfer", link, f"{oid}->{tid}", size))
+                            start, end, "transfer", path.name, f"{oid}->{tid}",
+                            size))
                         transferred += size
-                        if src >= 0 and u_loc >= 0:
+                        if path.kind is PathKind.MESH:
                             comm.inter_stack_bytes += size
                             comm.inter_stack_messages += 1
                         avail = end
@@ -201,7 +194,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                 for oid in task.inputs:
                     prod = producers.get(oid)
                     data_ready = max(data_ready, task_end.get(prod, 0.0) if prod else 0.0)
-            start = max(free, data_ready)
+            start = max(free_at, data_ready)
             n_cxt = cxt_per_consumer.get(tid, 0)
             if n_cxt and cfg.cxt_s > 0:
                 timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
@@ -210,7 +203,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
                 start = max(start, pseudo_gate[u_loc])
             if family is KernelFamily.ALLTOALL:
-                dur, moved = _alltoall_phase(task, schedule, graph, cfg, links,
+                dur, moved = _alltoall_phase(task, graph, task_loc, links, free,
                                              start, timeline, comm)
                 transferred += moved
             else:
@@ -228,7 +221,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             timeline.append(TimelineEvent(start, end, "task", name, tid))
         task_end[tid] = max(end_times)
 
-    makespan = max((max(ev.t_end for ev in timeline) if timeline else 0.0),
+    makespan = max((max(map(attrgetter("t_end"), timeline)) if timeline else 0.0),
                    max(task_end.values(), default=0.0))
     per_family: dict[KernelFamily, float] = {}
     for fam in KernelFamily:
@@ -249,8 +242,8 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         policy=schedule.policy, transferred_bytes=transferred)
 
 
-def _alltoall_phase(task, schedule: Schedule, graph: TaskGraph,
-                    cfg: MachineConfig, links: _Links, start: float,
+def _alltoall_phase(task, graph: TaskGraph, task_loc: dict[str, int],
+                    links: LinkModel, free: list[float], start: float,
                     timeline: list[TimelineEvent], comm: CommStats,
                     ) -> tuple[float, int]:
     """Pairwise partition exchange across the endpoints holding partitions.
@@ -265,7 +258,7 @@ def _alltoall_phase(task, schedule: Schedule, graph: TaskGraph,
         if prod is None:
             part_locs.append(graph.data_objects[oid].initial_location or CPU_SIDE)
         else:
-            part_locs.append(schedule.placements[prod][0].location())
+            part_locs.append(task_loc[prod])
     n = len(part_locs)
     if n == 0:
         return 0.0, 0
@@ -282,10 +275,11 @@ def _alltoall_phase(task, schedule: Schedule, graph: TaskGraph,
     moved = 0
     for (src, dst) in sorted(pair_bytes):
         n_bytes = pair_bytes[(src, dst)]
-        t0, t1, link = links.occupy(src, dst, n_bytes, start)
-        timeline.append(TimelineEvent(t0, t1, "comm", link,
+        path = links.path(src, dst)
+        t0, t1 = _occupy(free, path, n_bytes, start, links.hop)
+        timeline.append(TimelineEvent(t0, t1, "comm", path.name,
                                       f"{task.id}:{src}->{dst}", int(n_bytes)))
-        if src >= 0 and dst >= 0:
+        if path.kind is PathKind.MESH:
             comm.inter_stack_bytes += int(n_bytes)
             comm.inter_stack_messages += 1
         moved += int(n_bytes)

@@ -9,10 +9,13 @@ from __future__ import annotations
 import cmath
 import itertools
 
-from ndftsim.machine import MachineConfig, UnitRef
+from ndftsim.errors import DomainError
+from ndftsim.machine import (CPU_LIKE, HOST, Location, MachineConfig, UnitRef,
+                             bandwidth, mesh_hops)
+from ndftsim.runtime import CommStats, PseudoTrace, _worker_units
 from ndftsim.scheduler import schedule_from_placements
 from ndftsim.simulator import simulate
-from ndftsim.workload import CalibrationFixture, TaskGraph
+from ndftsim.workload import CalibrationFixture, SystemSpec, TaskGraph
 
 
 class FlopCounter:
@@ -111,3 +114,110 @@ def best_placement_by_enumeration(graph: TaskGraph, cfg: MachineConfig,
             best = report.makespan
             best_map = mapping
     return best, best_map
+
+
+# -- link and trace references ---------------------------------------------
+# Written out move by move, as the simulator and planner did before they
+# shared one link model; the link model must reproduce them float for float.
+
+
+def transfer_cost_reference(n_bytes: float, src: int, dst: int,
+                            cfg: MachineConfig) -> float:
+    """Uncontended seconds of a move: n / bw + hops * hop."""
+    if n_bytes < 0:
+        raise DomainError("transfer bytes must be >= 0")
+    for loc in (src, dst):
+        if loc < HOST:
+            raise DomainError(f"unknown location {loc}")
+    if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
+        return 0.0
+    hop = cfg.interconnect.hop_latency_s
+    if src in CPU_LIKE or dst in CPU_LIKE:
+        return n_bytes / bandwidth(Location.CPU_LINK, cfg) + 1 * hop
+    hops = mesh_hops(src, dst, cfg)
+    return n_bytes / bandwidth(Location.MESH_HOP, cfg) + hops * hop
+
+
+class LinksReference:
+    """Link FIFOs keyed by link name: the CPU link plus every directed mesh
+    edge, each serializing the moves that cross it."""
+
+    def __init__(self, cfg: MachineConfig):
+        self.cfg = cfg
+        self.cpu_bw = bandwidth(Location.CPU_LINK, cfg)
+        self.mesh_bw = bandwidth(Location.MESH_HOP, cfg)
+        self.hop = cfg.interconnect.hop_latency_s
+        self.free: dict[str, float] = {}
+
+    def mesh_route(self, src: int, dst: int) -> list[str]:
+        """X-then-Y Manhattan route as a list of directed link names."""
+        cfg = self.cfg
+        sx, sy = src % cfg.ndp.stacks_x, src // cfg.ndp.stacks_x
+        dx, dy = dst % cfg.ndp.stacks_x, dst // cfg.ndp.stacks_x
+        links = []
+        x, y = sx, sy
+        while x != dx:
+            nx = x + (1 if dx > x else -1)
+            links.append(f"mesh:{x},{y}-{nx},{y}")
+            x = nx
+        while y != dy:
+            ny = y + (1 if dy > y else -1)
+            links.append(f"mesh:{x},{y}-{x},{ny}")
+            y = ny
+        return links
+
+    def occupy(self, src: int, dst: int, n_bytes: float, ready: float,
+               ) -> tuple[float, float, str]:
+        """Serialize one transfer over its path; returns (start, end, path name)."""
+        if src == dst or (src in CPU_LIKE and dst in CPU_LIKE):
+            return ready, ready, "local"
+        if src in CPU_LIKE or dst in CPU_LIKE:
+            dur = n_bytes / self.cpu_bw + self.hop
+            start = max(ready, self.free.get("cpu_link", 0.0))
+            self.free["cpu_link"] = start + dur
+            return start, start + dur, "cpu_link"
+        links = self.mesh_route(src, dst)
+        per_link = n_bytes / self.mesh_bw + self.hop
+        t = ready
+        first = links[0] if links else "local"
+        for name in links:
+            start = max(t, self.free.get(name, 0.0))
+            self.free[name] = start + per_link
+            t = start + per_link
+        return ready, t, first
+
+
+def pseudo_cost_trace_reference(spec: SystemSpec, fixture: CalibrationFixture,
+                                cfg: MachineConfig) -> PseudoTrace:
+    """Shared-block access pattern replayed atom by atom, stack by stack."""
+    block_bytes = fixture.pseudo.block_bytes
+    procs = spec.n_processes
+    wf_bytes = (spec.n_valence + spec.n_conduction) * 8 * spec.n_grid
+    comm = CommStats()
+    workers = _worker_units(cfg, procs)
+    n_wf = spec.n_valence + spec.n_conduction
+    wf_count = [0] * procs
+    for w in range(n_wf):
+        wf_count[w % procs] += 1
+    accesses_per_stack: dict[int, int] = {}
+    for p in range(procs):
+        s = workers[p].location()
+        accesses_per_stack[s] = accesses_per_stack.get(s, 0) + wf_count[p]
+    comm.intra_stack_bytes += spec.n_atoms * block_bytes  # distribution writes
+    fetches = []
+    for a in range(spec.n_atoms):
+        owner_stack = workers[a % procs].location()
+        for s in sorted(accesses_per_stack):
+            n_acc = accesses_per_stack[s]
+            if n_acc == 0:
+                continue
+            comm.intra_stack_bytes += n_acc * block_bytes  # local reads
+            if s == owner_stack:
+                continue
+            comm.inter_stack_messages += 1
+            comm.inter_stack_bytes += block_bytes
+            comm.requests_served_from_cache += n_acc - 1
+            fetches.append((owner_stack, s, block_bytes))
+    return PseudoTrace(comm=comm, fetches=tuple(fetches),
+                       footprint_bytes=spec.n_atoms * block_bytes
+                       + 24 * spec.n_atoms * cfg.total_stacks + wf_bytes)

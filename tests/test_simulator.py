@@ -139,21 +139,35 @@ def test_timeline_csv_header(cfg, calibrated):
     assert header == "t_start,t_end,kind,unit,task_or_object,bytes"
 
 
-# SHA-256 of timeline_csv() + repr(per_family_time) + repr(comm) for two
+# SHA-256 of timeline_csv() + repr(per_family_time) + repr(comm) for three
 # scenarios, graphs built as run_scenario builds them.  si1024 ndp_only with
 # 16 orbital groups is the fetch-heavy path (thousands of pseudopotential
-# fetches through the link FIFOs).  A change here is a change of simulated
-# behaviour and must be explained in CHANGES.md.
+# fetches through the link FIFOs); si2048 hybrid runs on a 2x8 mesh (still
+# 64 GiB), so its fetches take X-then-Y routes on a non-square mesh.  A
+# change here is a change of simulated behaviour and must be explained in
+# CHANGES.md.
 TIMELINE_SHA256 = {
-    (64, "hybrid", None):
+    (64, "hybrid", None, (4, 4)):
         "4c88d40feeeed5b9fcf2107d8d285cb582491a35ee8fe05a72e37250ba359876",
-    (1024, "ndp_only", 16):
+    (1024, "ndp_only", 16, (4, 4)):
         "a0584574a6b345edddb56c9990e3d315e8aeb7a0738b033ff0022796fc80ae21",
+    (2048, "hybrid", 16, (2, 8)):
+        "cf41e389b228863da0ca1f5c38658128647a7e08ed29ab355c0d9270a4402f39",
 }
 
 
-@pytest.mark.parametrize("atoms, policy, groups", list(TIMELINE_SHA256))
-def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups):
+def timeline_id(case) -> str:
+    atoms, policy, groups, (stacks_x, stacks_y) = case
+    mesh = "" if (stacks_x, stacks_y) == (4, 4) else f"-{stacks_x}x{stacks_y}"
+    return f"{atoms}-{policy}-{groups}{mesh}"
+
+
+@pytest.mark.parametrize("atoms, policy, groups, mesh", list(TIMELINE_SHA256),
+                         ids=[timeline_id(case) for case in TIMELINE_SHA256])
+def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups, mesh):
+    stacks_x, stacks_y = mesh
+    cfg = dataclasses.replace(cfg, ndp=dataclasses.replace(
+        cfg.ndp, stacks_x=stacks_x, stacks_y=stacks_y)).validated()
     fixture = (calibrated if groups is None
                else dataclasses.replace(calibrated, orbital_groups_max=groups))
     graph = build_taskgraph(derive_system(atoms, fixture, context="ndp"),
@@ -164,4 +178,4 @@ def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups):
     text = (report.timeline_csv() + repr(report.per_family_time)
             + repr(report.comm))
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == TIMELINE_SHA256[(atoms, policy, groups)]
+    assert digest == TIMELINE_SHA256[(atoms, policy, groups, mesh)]
