@@ -145,6 +145,11 @@ def unpack_block(payload: bytes) -> tuple[int, np.ndarray, np.ndarray]:
     return atom_id, idx, mat
 
 
+def _check_times(times: int) -> None:
+    if times < 1:
+        raise DomainError(f"times must be >= 1, got {times}")
+
+
 class NdpRuntime:
     """Shared-memory state of one simulation instance (never shared across runs)."""
 
@@ -224,48 +229,52 @@ class NdpRuntime:
         log.debug("NDFT_Write block=%d off=%d len=%d", block.block_id, offset, len(payload))
 
     def read_local(self, block: SharedBlock, offset: int, length: int,
-                   caller_stack: int | None = None) -> bytes:
+                   caller_stack: int | None = None, times: int = 1) -> bytes:
+        """Read bytes of a block the caller's stack owns or has cached.
+
+        ``times=n`` counts as n back-to-back reads of the same range and
+        returns the bytes once.
+        """
+        _check_times(times)
         caller = block.owner_stack if caller_stack is None else caller_stack
         self._check_local(block, caller)
         if offset < 0 or length < 0 or offset + length > block.length:
             raise RangeError(f"read [{offset}, {offset + length}) outside "
                              f"block of {block.length} bytes")
-        self.comm.intra_stack_bytes += length
-        log.debug("NDFT_Read block=%d off=%d len=%d", block.block_id, offset, length)
-        return bytes(self.storage[block.block_id][offset:offset + length])
+        self.comm.intra_stack_bytes += length * times
+        log.debug("NDFT_Read block=%d off=%d len=%d times=%d",
+                  block.block_id, offset, length, times)
+        return bytes(memoryview(self.storage[block.block_id])[offset:offset + length])
 
     # -- remote access through the per-stack arbiters -------------------------
 
-    def read_remote(self, block_id: int, source_id: int, dest_id: int) -> int:
+    def read_remote(self, block_id: int, source_id: int, dest_id: int,
+                    times: int = 1) -> int:
         """Fetch a block from its owner stack into the requester's stack.
 
         ``source_id`` is the requesting stack, ``dest_id`` the owner.  The
         first fetch moves the whole block between the two arbiters; every
-        later request from the same stack is a cache hit.  Returns the local
-        address of the copy.
+        later request from the same stack is a cache hit.  ``times=n`` counts
+        as n back-to-back requests.  Returns the local address of the copy.
         """
+        _check_times(times)
         if block_id not in self.blocks:
             raise UnknownBlockError(f"block {block_id} not in directory")
         block = self.blocks[block_id]
         if source_id == dest_id:
-            self.comm.intra_stack_bytes += block.length
+            self.comm.intra_stack_bytes += block.length * times
             return block.address
         if block.owner_stack != dest_id:
             raise DomainError(f"block {block_id} is owned by stack "
                               f"{block.owner_stack}, not {dest_id}")
-        stack = self.stacks[source_id]
-        cached = stack.remote_cache.get(block_id)
+        cached = self.stacks[source_id].remote_cache.get(block_id)
         if cached is not None:
-            self.comm.requests_served_from_cache += 1
+            self.comm.requests_served_from_cache += times
             return cached
+        addr = self._cache(source_id, block)
         self.comm.inter_stack_messages += 1
         self.comm.inter_stack_bytes += block.length
-        addr = stack.next_address
-        stack.next_address += block.length
-        if stack.shared_region_used + block.length > stack.spill_capacity:
-            raise CapacityError(f"stack {source_id} cannot cache block {block_id}")
-        stack.shared_region_used += block.length
-        stack.remote_cache[block_id] = addr
+        self.comm.requests_served_from_cache += times - 1
         log.debug("NDFT_Read_Remote block=%d %d<-%d len=%d",
                   block_id, source_id, dest_id, block.length)
         return addr
@@ -292,23 +301,33 @@ class NdpRuntime:
                   block_id, source_id, dest_id, len(payload))
 
     def broadcast(self, block_id: int) -> None:
-        """Replicate a block into every non-owner stack's cache (idempotent)."""
+        """Replicate a block into every non-owner stack's cache (idempotent).
+
+        Stacks are filled in id order; a stack whose shared region cannot
+        take the copy raises CapacityError and keeps its state.
+        """
         if block_id not in self.blocks:
             raise UnknownBlockError(f"block {block_id} not in directory")
         block = self.blocks[block_id]
         for stack_id in range(self.cfg.total_stacks):
             if stack_id == block.owner_stack:
                 continue
-            stack = self.stacks[stack_id]
+            if block_id not in self.stacks[stack_id].remote_cache:
+                self._cache(stack_id, block)
+                self.comm.inter_stack_bytes += block.length
             self.comm.inter_stack_messages += 1
-            if block_id in stack.remote_cache:
-                continue
-            addr = stack.next_address
-            stack.next_address += block.length
-            stack.shared_region_used += block.length
-            stack.remote_cache[block_id] = addr
-            self.comm.inter_stack_bytes += block.length
         log.debug("NDFT_Broadcast block=%d", block_id)
+
+    def _cache(self, stack_id: int, block: SharedBlock) -> int:
+        """Place a copy of a remote block in a stack's shared region."""
+        stack = self.stacks[stack_id]
+        if stack.shared_region_used + block.length > stack.spill_capacity:
+            raise CapacityError(f"stack {stack_id} cannot cache block {block.block_id}")
+        addr = stack.next_address
+        stack.next_address += block.length
+        stack.shared_region_used += block.length
+        stack.remote_cache[block.block_id] = addr
+        return addr
 
     def _invalidate(self, block_id: int, keep_stack: int) -> None:
         for stack_id, stack in enumerate(self.stacks):
@@ -347,12 +366,16 @@ def _generate_inputs(spec: SystemSpec, seed: int, m_projectors: int):
     return atoms, wfs
 
 
-def _apply_block(wf: np.ndarray, idx: np.ndarray, mat: np.ndarray) -> None:
-    """w += S^T V (S w): gather the projected entries, apply V, scatter-add."""
-    if idx.max(initial=-1) >= wf.shape[0]:
+def _apply_block(wfs: np.ndarray, idx: np.ndarray, mat: np.ndarray) -> None:
+    """w += S^T V (S w) for every wavefunction w in the last axis of wfs.
+
+    Gathers the projected entries, applies V and scatter-adds.  The stacked
+    matmul makes the same gemv per wavefunction as a single-vector product,
+    so a batch is bit-identical to one call per wavefunction.
+    """
+    if idx.max(initial=-1) >= wfs.shape[-1]:
         raise DataError("projector index outside the grid")
-    gathered = wf[idx]
-    wf[idx] += mat @ gathered
+    wfs[..., idx] += np.matmul(mat, wfs[..., idx, None])[..., 0]
 
 
 def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
@@ -360,12 +383,16 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
                         ) -> tuple[np.ndarray, MemStats, CommStats]:
     """Execute the pseudopotential update on seeded data.
 
-    Atoms are distributed round-robin over processes.  In shared-block mode
-    owners pack their atoms into shared memory, everyone else resolves
-    addresses through the directory, and all access flows through the
-    read_local/read_remote primitives.  In per-process-copy mode every
-    process keeps a private copy of every block; its wavefunction output is
-    the oracle the shared mode must match.
+    Atoms are distributed round-robin over processes, and so are the
+    wavefunctions.  In shared-block mode owners pack their atoms into shared
+    memory, everyone else resolves addresses through the directory, and all
+    access flows through the read_local/read_remote primitives.  The update
+    goes atom by atom: each process that owns wavefunctions reads the block
+    once per wavefunction it owns (one counted request to the arbiter), and
+    the block is decoded once and applied to all wavefunctions with one
+    stacked gemv.  In per-process-copy mode every process keeps a private
+    copy of every block; its wavefunction output is the oracle the shared
+    mode must match.
     """
     spec.validate()
     if spec.n_atoms > 64 or spec.n_grid > 16384:
@@ -374,49 +401,43 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
     atoms, wfs = _generate_inputs(spec, seed, m_projectors)
     procs = spec.n_processes
     workers = _worker_units(cfg, procs)
-    owner_of = {a: a % procs for a in range(spec.n_atoms)}
-    wf_owner = [w % procs for w in range(wfs.shape[0])]
     block_bytes = SharedBlock.length_of(m_projectors, m_projectors)
 
     if mode is PseudoMode.PER_PROCESS_COPY:
-        comm = CommStats()
         # every process materializes every block privately
         footprint = procs * spec.n_atoms * block_bytes + wfs.nbytes
-        for w in range(wfs.shape[0]):
-            for a in range(spec.n_atoms):
-                idx, mat = atoms[a]
-                _apply_block(wfs[w], idx, mat)
-        return wfs, MemStats(footprint_bytes=footprint), comm
+        for idx, mat in atoms:
+            _apply_block(wfs, idx, mat)
+        return wfs, MemStats(footprint_bytes=footprint), CommStats()
 
     runtime = NdpRuntime(cfg)
-    block_of_atom: dict[int, SharedBlock] = {}
+    blocks: list[SharedBlock] = []
     # distribution phase: owners pack their atoms into shared memory
-    for a in range(spec.n_atoms):
-        owner = workers[owner_of[a]]
-        idx, mat = atoms[a]
-        block = runtime.alloc_shared((idx, mat), owner)
+    for a, (idx, mat) in enumerate(atoms):
+        block = runtime.alloc_shared((idx, mat), workers[a % procs])
         block.atom_id = a
         runtime.write_local(block, 0, pack_block(idx, mat, a))
         runtime.directory.register(a, DirectoryEntry(
             owner_stack=block.owner_stack, address=block.address,
             length=block.length))
-        block_of_atom[a] = block
+        blocks.append(block)
 
-    spills = sum(1 for b in block_of_atom.values() if b.spilled)
-    # update phase: every process walks its wavefunctions over all atoms
-    for p in range(procs):
-        my_stack = workers[p].location()
-        for w in range(wfs.shape[0]):
-            if wf_owner[w] != p:
-                continue
-            for a in range(spec.n_atoms):
-                block = block_of_atom[a]
-                if block.owner_stack != my_stack:
-                    runtime.read_remote(block.block_id, my_stack, block.owner_stack)
-                payload = runtime.read_local(block, 0, block.length,
-                                             caller_stack=my_stack)
-                _, idx, mat = unpack_block(payload)
-                _apply_block(wfs[w], idx, mat)
+    spills = sum(1 for b in blocks if b.spilled)
+    # update phase: process p owns wavefunctions p, p + procs, ...
+    n_wf = wfs.shape[0]
+    readers = [(workers[p].location(), len(range(p, n_wf, procs)))
+               for p in range(min(procs, n_wf))]
+    for block in blocks:
+        payload = None
+        for my_stack, owned in readers:
+            if block.owner_stack != my_stack:
+                runtime.read_remote(block.block_id, my_stack, block.owner_stack,
+                                    times=owned)
+            read = runtime.read_local(block, 0, block.length,
+                                      caller_stack=my_stack, times=owned)
+            payload = read if payload is None else payload
+        _, idx, mat = unpack_block(payload)
+        _apply_block(wfs, idx, mat)
 
     footprint = (spec.n_atoms * block_bytes
                  + 24 * len(runtime.directory) * cfg.total_stacks

@@ -256,7 +256,8 @@ def _alltoall_phase(task, graph: TaskGraph, task_loc: dict[str, int],
     for oid in task.inputs:
         prod = graph.producers.get(oid)
         if prod is None:
-            part_locs.append(graph.data_objects[oid].initial_location or CPU_SIDE)
+            loc = graph.data_objects[oid].initial_location
+            part_locs.append(CPU_SIDE if loc is None else loc)
         else:
             part_locs.append(task_loc[prod])
     n = len(part_locs)

@@ -12,7 +12,10 @@ import itertools
 from ndftsim.errors import DomainError
 from ndftsim.machine import (CPU_LIKE, HOST, Location, MachineConfig, UnitRef,
                              bandwidth, mesh_hops)
-from ndftsim.runtime import CommStats, PseudoTrace, _worker_units
+from ndftsim.runtime import (CommStats, DirectoryEntry, MemStats, NdpRuntime,
+                             PseudoMode, PseudoTrace, SharedBlock,
+                             _generate_inputs, _worker_units, pack_block,
+                             unpack_block)
 from ndftsim.scheduler import schedule_from_placements
 from ndftsim.simulator import simulate
 from ndftsim.workload import CalibrationFixture, SystemSpec, TaskGraph
@@ -221,3 +224,57 @@ def pseudo_cost_trace_reference(spec: SystemSpec, fixture: CalibrationFixture,
     return PseudoTrace(comm=comm, fetches=tuple(fetches),
                        footprint_bytes=spec.n_atoms * block_bytes
                        + 24 * spec.n_atoms * cfg.total_stacks + wf_bytes)
+
+
+# -- pseudopotential kernel reference ----------------------------------------
+
+
+def run_pseudopotential_reference(spec: SystemSpec, mode: PseudoMode, seed: int,
+                                  cfg: MachineConfig, m_projectors: int = 8,
+                                  ) -> tuple:
+    """The kernel one (process, wavefunction, atom) step at a time.
+
+    Every step reads its block through the runtime primitives, decodes it
+    and applies it to a single wavefunction; the batched kernel must return
+    the same arrays bit for bit and the same statistics.
+    """
+    atoms, wfs = _generate_inputs(spec, seed, m_projectors)
+    procs = spec.n_processes
+    workers = _worker_units(cfg, procs)
+    block_bytes = SharedBlock.length_of(m_projectors, m_projectors)
+
+    def apply(wf, idx, mat):
+        gathered = wf[idx]
+        wf[idx] += mat @ gathered
+
+    if mode is PseudoMode.PER_PROCESS_COPY:
+        for w in range(wfs.shape[0]):
+            for idx, mat in atoms:
+                apply(wfs[w], idx, mat)
+        footprint = procs * spec.n_atoms * block_bytes + wfs.nbytes
+        return wfs, MemStats(footprint_bytes=footprint), CommStats()
+
+    runtime = NdpRuntime(cfg)
+    blocks = []
+    for a, (idx, mat) in enumerate(atoms):
+        block = runtime.alloc_shared((idx, mat), workers[a % procs])
+        runtime.write_local(block, 0, pack_block(idx, mat, a))
+        runtime.directory.register(a, DirectoryEntry(
+            block.owner_stack, block.address, block.length))
+        blocks.append(block)
+    for p in range(procs):
+        my_stack = workers[p].location()
+        for w in range(p, wfs.shape[0], procs):
+            for block in blocks:
+                if block.owner_stack != my_stack:
+                    runtime.read_remote(block.block_id, my_stack,
+                                        block.owner_stack)
+                payload = runtime.read_local(block, 0, block.length,
+                                             caller_stack=my_stack)
+                _, idx, mat = unpack_block(payload)
+                apply(wfs[w], idx, mat)
+    footprint = (spec.n_atoms * block_bytes
+                 + 24 * spec.n_atoms * cfg.total_stacks + wfs.nbytes)
+    mem = MemStats(footprint_bytes=footprint,
+                   spm_spills=sum(b.spilled for b in blocks))
+    return wfs, mem, runtime.comm

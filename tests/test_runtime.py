@@ -1,15 +1,22 @@
+import copy
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ndftsim.errors import (CapacityError, DataError, DomainError,
-                            LocalityError, RangeError, UnknownBlockError)
+                            LocalityError, NdftError, RangeError,
+                            UnknownBlockError)
 from ndftsim.machine import GIB, MachineConfig, UnitRef
-from ndftsim.runtime import (Arch, NdpRuntime, PseudoMode, SharedBlock,
-                             SystemSize, footprint_for_atoms, footprint_model,
-                             footprint_percentage, pack_block,
+from ndftsim.runtime import (Arch, CommStats, NdpRuntime, PseudoMode,
+                             SharedBlock, SystemSize, footprint_for_atoms,
+                             footprint_model, footprint_percentage, pack_block,
                              pseudo_cost_trace, run_pseudopotential,
                              unpack_block)
 from ndftsim.workload import CalibrationFixture, SystemSpec
+from oracles import run_pseudopotential_reference
 
 
 def payload(m=3, n_idx=None, nr=64, seed=0):
@@ -168,6 +175,99 @@ def test_broadcast_single_stack_config_sends_nothing():
     assert runtime.comm.inter_stack_messages == 0
 
 
+def small_stacks(stacks_x=4, stacks_y=4, units_per_stack=8,
+                 stack_bytes=300_000) -> MachineConfig:
+    """A machine whose stacks hold ``stack_bytes`` each (300,000: three
+    blocks of m=100)."""
+    base = MachineConfig()
+    ndp = dataclasses.replace(base.ndp, stacks_x=stacks_x, stacks_y=stacks_y,
+                              units_per_stack=units_per_stack,
+                              capacity_per_unit=stack_bytes // units_per_stack)
+    return dataclasses.replace(base, ndp=ndp, hbm=dataclasses.replace(
+        base.hbm, total_capacity=stacks_x * stacks_y * stack_bytes)).validated()
+
+
+def test_failed_remote_read_leaves_the_stack_unchanged():
+    runtime = NdpRuntime(small_stacks())
+    blocks = [runtime.alloc_shared(payload(m=100, nr=10 ** 4, seed=i),
+                                   UnitRef.ndp(1 + i, 0)) for i in range(4)]
+    assert blocks[0].length == 80_432
+    for block in blocks[:3]:
+        runtime.read_remote(block.block_id, 0, block.owner_stack)
+    before = copy.deepcopy((runtime.stacks[0], runtime.comm))
+    with pytest.raises(CapacityError):
+        runtime.read_remote(blocks[3].block_id, 0, blocks[3].owner_stack)
+    assert (runtime.stacks[0], runtime.comm) == before
+    assert runtime.stacks[0].next_address == 241_296
+    assert runtime.stacks[0].shared_region_used == 241_296
+
+
+def test_broadcast_past_the_shared_region_is_capacity_error():
+    runtime = NdpRuntime(small_stacks())
+    blocks = [runtime.alloc_shared(payload(m=100, nr=10 ** 4, seed=i),
+                                   UnitRef.ndp(1 + i, 0)) for i in range(15)]
+    for block in blocks[:3]:
+        runtime.broadcast(block.block_id)
+    before = copy.deepcopy(runtime.stacks[0])
+    with pytest.raises(CapacityError):
+        runtime.broadcast(blocks[3].block_id)
+    assert runtime.stacks[0] == before
+    assert runtime.stacks[0].shared_region_used == 241_296
+    for stack in runtime.stacks:
+        assert stack.shared_region_used <= stack.spill_capacity
+
+
+@pytest.mark.parametrize("times", [0, -1])
+def test_times_below_one_is_domain_error(cfg, times):
+    runtime = NdpRuntime(cfg)
+    block = runtime.alloc_shared(payload(), UnitRef.ndp(0, 0))
+    with pytest.raises(DomainError):
+        runtime.read_local(block, 0, 4, times=times)
+    with pytest.raises(DomainError):
+        runtime.read_remote(block.block_id, 3, 0, times=times)
+    assert runtime.comm == CommStats()
+
+
+def outcome(call):
+    try:
+        return call()
+    except NdftError as exc:  # compared by type across the two runtimes
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([4, 100]), min_size=1, max_size=6),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                          st.integers(0, 15), st.integers(1, 6)),
+                min_size=1, max_size=30))
+def test_times_counts_like_repeated_calls(sizes, reads):
+    """read_remote/read_local with times=n leave the same statistics, cache
+    and stack state as n back-to-back calls, failures included."""
+    cfg = small_stacks()
+    batched, single = NdpRuntime(cfg), NdpRuntime(cfg)
+    blocks = []
+    for i, m in enumerate(sizes):
+        owner = UnitRef.ndp((5 * i) % 16, 0)
+        for runtime in (batched, single):
+            block = runtime.alloc_shared(payload(m=m, nr=10 ** 4, seed=i), owner)
+        blocks.append(block.block_id)
+    for remote, b, stack, n in reads:
+        block_id = blocks[b % len(blocks)]
+        if remote:
+            def call(runtime, times):
+                owner = runtime.blocks[block_id].owner_stack
+                return runtime.read_remote(block_id, stack, owner, times=times)
+        else:
+            def call(runtime, times):
+                return runtime.read_local(runtime.blocks[block_id], 0, 64,
+                                          caller_stack=stack, times=times)
+        got = outcome(lambda: call(batched, n))
+        want = [outcome(lambda: call(single, 1)) for _ in range(n)]
+        assert want[0] == got
+        assert batched.comm == single.comm
+        assert batched.stacks == single.stacks
+
+
 # -- the executable kernel ---------------------------------------------------------
 
 def desk_spec(atoms=4, wf=8, nr=256, procs=8):
@@ -237,6 +337,72 @@ def test_trace_counts_match_executable_kernel(cfg):
     assert trace.comm.inter_stack_bytes == comm.inter_stack_bytes
     assert trace.comm.requests_served_from_cache == comm.requests_served_from_cache
     assert trace.comm.intra_stack_bytes == comm.intra_stack_bytes
+
+
+# SHA-256 of both modes' wavefunction bytes plus repr((MemStats, CommStats))
+# for the four perfbench pseudo_exec shapes (64 atoms, n_grid 2048, seed
+# 20261018), recorded on the one-wavefunction-at-a-time kernel.
+PSEUDO_SHA256 = {
+    (8, 16): "5913f5993eecbd38f96e37439bc6e9d30f2fbaaaeaec3a25379c923af156d64f",
+    (8, 128): "52128fc4a46996904a00b3c02985235031d920b9fe6d67fb555c5f702a7e62ff",
+    (226, 16): "559c9fdaaaec55d6d558b0e521144bc714d5cb6ccbcb002a03b2c937092eea4d",
+    (226, 128): "7b3e01d4ebad6b175ef34bdb02c36f517366747bfe471c62d0c4e38f12d569ad",
+}
+
+
+@pytest.mark.parametrize("m, procs", list(PSEUDO_SHA256),
+                         ids=[f"m{m}-p{p}" for m, p in PSEUDO_SHA256])
+def test_kernel_outputs_are_pinned(cfg, m, procs):
+    half = 128 if m == 8 else 8
+    spec = SystemSpec(n_atoms=64, n_valence=half, n_conduction=half,
+                      n_grid=2048, n_processes=procs)
+    h = hashlib.sha256()
+    for mode in (PseudoMode.PER_PROCESS_COPY, PseudoMode.SHARED_BLOCK):
+        wfs, mem, comm = run_pseudopotential(spec, mode, 20261018, cfg,
+                                             m_projectors=m)
+        h.update(np.ascontiguousarray(wfs).tobytes())
+        h.update(repr((mem, comm)).encode())
+    assert h.hexdigest() == PSEUDO_SHA256[(m, procs)]
+
+
+KERNEL_MACHINES = {(x, y, u): small_stacks(x, y, u, stack_bytes=512 * 1024 ** 2)
+                   for x, y, u in ((1, 1, 1), (1, 1, 8), (1, 5, 2), (4, 4, 8),
+                                   (2, 3, 1))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(list(KERNEL_MACHINES)), st.sampled_from(list(PseudoMode)),
+       st.integers(1, 12), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 40), st.one_of(st.integers(1, 8), st.just(33)),
+       st.integers(0, 64), st.integers(0, 2 ** 31 - 1))
+@example((1, 1, 1), PseudoMode.SHARED_BLOCK, 5, 2, 1, 9, 1, 0, 7)
+@example((4, 4, 8), PseudoMode.SHARED_BLOCK, 12, 1, 1, 40, 8, 0, 11)
+@example((2, 3, 1), PseudoMode.PER_PROCESS_COPY, 3, 3, 2, 2, 1, 0, 5)
+def test_batched_kernel_matches_per_step_reference(
+        machine, mode, atoms, n_val, n_cond, procs, m, extra_grid, seed):
+    """Bit-identical wavefunctions and equal statistics against the kernel
+    that reads, decodes and applies one block per (process, wavefunction,
+    atom), including more processes than wavefunctions, m=1 and a single
+    stack."""
+    cfg = KERNEL_MACHINES[machine]
+    spec = SystemSpec(n_atoms=atoms, n_valence=n_val, n_conduction=n_cond,
+                      n_grid=m + extra_grid, n_processes=procs)
+    wa, ma, ca = run_pseudopotential(spec, mode, seed, cfg, m_projectors=m)
+    wb, mb, cb = run_pseudopotential_reference(spec, mode, seed, cfg,
+                                               m_projectors=m)
+    assert np.array_equal(wa, wb)
+    assert (ma, ca) == (mb, cb)
+
+
+def test_kernel_too_big_for_the_stacks_is_capacity_error():
+    """Both access orders run out of room; the first stack to overflow may
+    differ, since the batched kernel reads atom by atom."""
+    cfg = small_stacks(2, 2, 2, stack_bytes=600_000)
+    spec = SystemSpec(n_atoms=11, n_valence=1, n_conduction=1, n_grid=200,
+                      n_processes=3)
+    for kernel in (run_pseudopotential, run_pseudopotential_reference):
+        with pytest.raises(CapacityError):
+            kernel(spec, PseudoMode.SHARED_BLOCK, 1, cfg, m_projectors=100)
 
 
 # -- footprint model -----------------------------------------------------------------

@@ -8,7 +8,8 @@ from ndftsim.machine import UnitRef
 from ndftsim.runtime import PseudoMode
 from ndftsim.scheduler import plan, schedule_from_placements
 from ndftsim.simulator import compare, simulate
-from ndftsim.workload import KernelFamily, build_taskgraph, derive_system
+from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
+                              derive_system)
 from graphs import make_graph
 
 
@@ -57,6 +58,25 @@ def test_unplaced_task_is_schedule_error(cfg, calibrated):
     with pytest.raises(ScheduleError):
         simulate(schedule_from_placements(graph, cfg, {}), graph, cfg,
                  calibrated)
+
+
+def test_alltoall_partitions_on_stacks_exchange_over_the_mesh(cfg, calibrated):
+    """A partition homed on stack 0 is a stack-0 partition, not a CPU-side one."""
+    graph = make_graph(
+        [{"id": "x", "family": KernelFamily.ALLTOALL, "br": 4e6, "bw": 4e6,
+          "inputs": ("p0", "p5"), "outputs": ("y",)}],
+        {"p0": 10 ** 6, "p5": 10 ** 6, "y": 8})
+    graph.data_objects["p0"] = DataObject("p0", 10 ** 6, 0)
+    graph.data_objects["p5"] = DataObject("p5", 10 ** 6, 5)
+    schedule = schedule_from_placements(graph, cfg, {"x": [UnitRef.ndp(0, 0)]})
+    report = simulate(schedule, graph, cfg, calibrated,
+                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    exchanges = sorted((ev.task_or_object, ev.unit, ev.bytes)
+                       for ev in report.timeline if ev.kind == "comm")
+    assert exchanges == [("x:0->5", "mesh:0,0-1,0", 10 ** 6),
+                         ("x:5->0", "mesh:1,1-0,1", 10 ** 6)]
+    assert report.comm.inter_stack_messages == 2
+    assert report.comm.inter_stack_bytes == 2 * 10 ** 6
 
 
 def scenario_report(cfg, fixture, atoms, policy):
