@@ -10,20 +10,25 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import (KW_ONLY, MISSING, dataclass, field, fields,
+                         is_dataclass, replace)
+from enum import Enum
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import click
 import yaml
 
 from .errors import CapacityError, ConfigurationError, NdftError
-from .machine import (CpuSpec, HbmSpec, MachineConfig, MeshSpec, NdpSpec)
+from .machine import MachineConfig
 from .runtime import PseudoMode, run_pseudopotential
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
 from .workload import (FAMILY_KEYS, CalibrationFixture, FamilyCoefficients,
-                       FootprintParams, KernelFamily, PseudoParams,
-                       build_taskgraph, derive_system)
+                       KernelFamily, PseudoParams, build_taskgraph,
+                       derive_system)
 
 SEED_ENV = "NDFT_SIM_SEED"
 EXIT_BAD_CONFIG = 2
@@ -35,9 +40,10 @@ SHIPPED_SIZES = (16, 32, 64, 128, 256, 1024, 2048)
 @dataclass(frozen=True)
 class Scenario:
     n_atoms: int
-    policy: str
-    pseudo_mode: PseudoMode
-    seed: int
+    policy: str = "hybrid"
+    pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK
+    _: KW_ONLY
+    seed: int  # required: no wall-clock defaults
     exec_pseudo: bool = False
 
     @property
@@ -47,15 +53,15 @@ class Scenario:
 
 @dataclass
 class ExperimentConfig:
-    machine: MachineConfig
-    fixture: CalibrationFixture
-    scenarios: list[Scenario]
-    output_dir: Path
-    extra_diagnostics: list[str] = field(default_factory=list)
+    machine: MachineConfig = field(default_factory=MachineConfig)
+    fixture: CalibrationFixture = field(
+        default_factory=CalibrationFixture.calibrated,
+        metadata={"doc_key": "workload"})
+    scenarios: list[Scenario] = field(default_factory=list)
+    output_dir: Path = Path("out")
 
     def validate(self) -> list[str]:
-        bad = list(self.extra_diagnostics)
-        bad.extend(self.machine.validate())
+        bad = self.machine.validate()
         bad.extend(self.fixture.validate())
         if not self.scenarios:
             bad.append("scenarios: at least one scenario is required")
@@ -78,131 +84,139 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
             scenarios.append(Scenario(n_atoms=n_atoms, policy=policy,
                                       pseudo_mode=mode, seed=seed))
             seed += 1
-    return ExperimentConfig(machine=MachineConfig(),
-                            fixture=CalibrationFixture.calibrated(),
-                            scenarios=scenarios, output_dir=Path(output_dir))
+    return ExperimentConfig(scenarios=scenarios, output_dir=Path(output_dir))
 
 
 # -- config document mapping --------------------------------------------------
+#
+# The document is derived from the dataclasses: each field is one key (its
+# name, or its "doc_key" metadata), checked against the field's type hint.
+# A key left out, or a nested node given as null, keeps the value of the base
+# the node is read onto: ExperimentConfig() at the top, the class defaults
+# inside a list.  A null leaf is an error unless its hint is ``T | None``.
+# The one shape of the document's own is the family table.
+
+# leaf type -> (the Python types it accepts, what the error says it must be);
+# bool is an int subclass, so only a bool leaf accepts a bool
+_LEAVES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+           float: ((int, float), "a number"), str: ((str,), "a string"),
+           Path: ((str,), "a path string")}
+
+
+@cache
+def _doc_fields(cls) -> dict:
+    """Document key -> (field, type hint) for each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.metadata.get("doc_key", f.name): (f, hints[f.name])
+            for f in fields(cls)}
+
+
+def _path(key: str, name) -> str:
+    return f"{key}.{name}" if key else str(name)
 
 
 def _mapping(node, key: str) -> dict:
-    """A document node that must be a mapping; absent or null reads as empty."""
-    if node is None:
-        return {}
     if not isinstance(node, dict):
         raise ConfigurationError("must be a mapping", key=key)
     return node
 
 
-def _number(value, key: str) -> int | float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"must be a number, got {value!r}", key=key)
-    return value
+def _from_doc(hint, node, key: str, base=None):
+    """The value of type ``hint`` that the document node describes.
+
+    ``base`` supplies what a dataclass node leaves out; with no base, a
+    field without a default is required.  Errors name the key path.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # T | None
+        inner, = (a for a in args if a is not NoneType)
+        return None if node is None else _from_doc(inner, node, key)
+    if hint in _LEAVES:
+        types, kind = _LEAVES[hint]
+        if not isinstance(node, types) or (isinstance(node, bool)
+                                           and hint is not bool):
+            raise ConfigurationError(f"must be {kind}, got {node!r}", key=key)
+        return Path(node) if hint is Path else node
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(node)
+        except ValueError:
+            raise ConfigurationError(
+                f"must be one of {[m.value for m in hint]}, got {node!r}",
+                key=key) from None
+    if node is None and base is not None:
+        return base
+    if hint is CalibrationFixture:
+        return _fixture_from_doc(node, key, base)
+    if is_dataclass(hint):
+        return _dataclass_from_doc(hint, _mapping(node, key), key, base)
+    if origin is dict:
+        return {_from_doc(str, k, _path(key, k)):
+                _from_doc(args[1], v, _path(key, k))
+                for k, v in _mapping(node, key).items()}
+    if not isinstance(node, list):
+        raise ConfigurationError("must be a list", key=key)
+    return [_from_doc(args[0], item, f"{key}[{i}]")
+            for i, item in enumerate(node)]
 
 
-def _names(*classes) -> set[str]:
-    return {f.name for cls in classes for f in fields(cls)}
+def _dataclass_from_doc(cls, node: dict, key: str, base):
+    known = _doc_fields(cls)
+    for name in node:
+        if name not in known:
+            raise ConfigurationError("unknown field", key=_path(key, name))
+    values = {}
+    for name, (f, hint) in known.items():
+        inherited = None if base is None else getattr(base, f.name)
+        if name in node:
+            values[f.name] = _from_doc(hint, node[name], _path(key, name),
+                                       inherited)
+        elif base is not None:
+            values[f.name] = inherited
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError("required field is missing",
+                                     key=_path(key, name))
+    return cls(**values)
 
 
-def _known_keys(node: dict, names: set[str], key: str = "") -> dict:
-    """The node itself, after checking that every key is one of names."""
-    for k in node:
-        if k not in names:
-            raise ConfigurationError("unknown field",
-                                     key=f"{key}.{k}" if key else str(k))
-    return node
-
-
-def _numeric_fields(cls, node: dict, key: str) -> dict:
-    """Keyword arguments for a dataclass of numbers, each field checked."""
-    _known_keys(node, _names(cls), key)
-    return {k: _number(v, f"{key}.{k}") for k, v in node.items()}
-
-
-def _integer(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"must be an integer, got {value!r}",
-                                 key=key) from None
-
-
-TOP_KEYS = {"machine", "workload", "scenarios", "output_dir"}
-# the fixture's fields, with the coefficient table spelled out per family
-WORKLOAD_KEYS = _names(CalibrationFixture) - {"families"} | set(FAMILY_KEYS)
-
-
-def _machine_from_doc(doc: dict) -> MachineConfig:
-    _known_keys(doc, _names(MachineConfig), "machine")
-
-    def sub(cls, key):
-        node = _mapping(doc.get(key), f"machine.{key}")
-        return cls(**_numeric_fields(cls, node, f"machine.{key}"))
-
-    return MachineConfig(
-        cpu=sub(CpuSpec, "cpu"),
-        ndp=sub(NdpSpec, "ndp"),
-        hbm=sub(HbmSpec, "hbm"),
-        interconnect=sub(MeshSpec, "interconnect"),
-        cxt_s=_number(doc.get("cxt_s", MachineConfig().cxt_s), "machine.cxt_s"),
-    )
-
-
-def _fixture_from_doc(doc: dict, diagnostics: list[str]) -> CalibrationFixture:
-    _known_keys(doc, WORKLOAD_KEYS, "workload")
-    base = CalibrationFixture.calibrated()
-
-    def scalar(name: str, optional: bool = False):
-        value = doc.get(name, getattr(base, name))
-        if value is None and optional:
-            return None
-        return _number(value, f"workload.{name}")
-
-    families = dict(base.families)
-    for fam in FAMILY_KEYS:
-        if doc.get(fam) is None:
+def _fixture_from_doc(node, key: str,
+                      base: CalibrationFixture) -> CalibrationFixture:
+    """The workload node: ``workload.<family>`` is ``families[<family>]``,
+    and ``workload.pseudo`` also carries the PseudoParams fields."""
+    node = dict(_mapping(node, key))
+    records = {fam: node.pop(fam) for fam in FAMILY_KEYS if fam in node}
+    if "families" in node:
+        raise ConfigurationError("unknown field", key=_path(key, "families"))
+    fixture = _dataclass_from_doc(CalibrationFixture, node, key, base)
+    families, pseudo = dict(fixture.families), fixture.pseudo
+    for fam, record in records.items():
+        if record is None:
             continue
-        record = (FamilyCoefficients, PseudoParams) if fam == "pseudo" \
-            else (FamilyCoefficients,)
-        node = _known_keys(_mapping(doc[fam], f"workload.{fam}"),
-                           _names(*record), f"workload.{fam}")
-        # an explicit family record must be complete
-        for coef in ("flop_coef", "byte_coef") if fam != "pseudo" else ():
-            if coef not in node:
-                diagnostics.append(f"workload.{fam}.{coef}: missing from "
-                                   "explicit family record")
-        prev = families[fam]
-        families[fam] = FamilyCoefficients(
-            flop_coef=_number(node.get("flop_coef", prev.flop_coef),
-                              f"workload.{fam}.flop_coef"),
-            byte_coef=_number(node.get("byte_coef", prev.byte_coef),
-                              f"workload.{fam}.byte_coef"))
-    pseudo = PseudoParams(projectors_per_atom=_number(
-        _mapping(doc.get("pseudo"), "workload.pseudo").get(
-            "projectors_per_atom", base.pseudo.projectors_per_atom),
-        "workload.pseudo.projectors_per_atom"))
-    fp_doc = _mapping(doc.get("footprint"), "workload.footprint")
-    fp = (FootprintParams(**_numeric_fields(FootprintParams, fp_doc,
-                                            "workload.footprint"))
-          if fp_doc else base.footprint)
-    targets_doc = _mapping(doc.get("targets"), "workload.targets")
-    targets = ({k: _number(v, f"workload.targets.{k}")
-                for k, v in targets_doc.items()}
-               if targets_doc else base.targets)
-    return replace(
-        base,
-        nv_per_atom=scalar("nv_per_atom"),
-        nc_per_atom=scalar("nc_per_atom"),
-        nr_per_atom=scalar("nr_per_atom"),
-        processes_cpu=scalar("processes_cpu"),
-        processes_ndp=scalar("processes_ndp"),
-        orbital_groups_max=scalar("orbital_groups_max"),
-        response_dim_base=scalar("response_dim_base", optional=True),
-        response_dim_per_atom=scalar("response_dim_per_atom", optional=True),
-        families=families, pseudo=pseudo, footprint=fp,
-        targets=targets,
-    )
+        record = dict(_mapping(record, _path(key, fam)))
+        if fam == "pseudo":
+            params = {k: record.pop(k) for k in _doc_fields(PseudoParams)
+                      if k in record}
+            pseudo = _from_doc(PseudoParams, params, _path(key, fam), pseudo)
+        # an explicit record must be complete; pseudo's may give only its
+        # PseudoParams and keep the coefficients
+        coefs = families.get(fam) if fam == "pseudo" else None
+        families[fam] = _from_doc(FamilyCoefficients, record, _path(key, fam),
+                                  coefs)
+    return replace(fixture, families=families, pseudo=pseudo)
+
+
+def config_from_doc(doc: dict) -> ExperimentConfig:
+    """The config a parsed document describes; raises ConfigurationError."""
+    config = _from_doc(ExperimentConfig, doc, "", ExperimentConfig())
+    env_seed = os.environ.get(SEED_ENV)
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigurationError(f"must be an integer, got {env_seed!r}",
+                                     key=SEED_ENV) from None
+        config.scenarios = [replace(sc, seed=seed) for sc in config.scenarios]
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -215,110 +229,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"malformed document: {exc}", key=str(path))
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a mapping", key=str(path))
-    _known_keys(doc, TOP_KEYS)
-    diagnostics: list[str] = []
-    machine = _machine_from_doc(_mapping(doc.get("machine"), "machine"))
-    fixture = _fixture_from_doc(_mapping(doc.get("workload"), "workload"),
-                                diagnostics)
-    scenarios = []
-    env_seed = os.environ.get(SEED_ENV)
-    nodes = doc.get("scenarios") or []
-    if not isinstance(nodes, list):
-        raise ConfigurationError("must be a list", key="scenarios")
-    for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ConfigurationError("must be a mapping", key=f"scenarios[{i}]")
-        _known_keys(node, _names(Scenario), f"scenarios[{i}]")
-        try:
-            mode = PseudoMode(node.get("pseudo_mode", "shared_block"))
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown pseudo_mode {node.get('pseudo_mode')!r}",
-                key=f"scenarios[{i}].pseudo_mode") from None
-        if "seed" not in node:
-            raise ConfigurationError("seed is required (no wall-clock defaults)",
-                                     key=f"scenarios[{i}].seed")
-        seed = (_integer(env_seed, SEED_ENV) if env_seed is not None
-                else _integer(node["seed"], f"scenarios[{i}].seed"))
-        exec_pseudo = node.get("exec_pseudo", False)
-        if not isinstance(exec_pseudo, bool):
-            raise ConfigurationError(
-                f"must be a boolean, got {exec_pseudo!r}",
-                key=f"scenarios[{i}].exec_pseudo")
-        scenarios.append(Scenario(
-            n_atoms=_integer(node.get("n_atoms", 0), f"scenarios[{i}].n_atoms"),
-            policy=str(node.get("policy", "hybrid")),
-            pseudo_mode=mode, seed=seed,
-            exec_pseudo=exec_pseudo))
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigurationError("must be a path string", key="output_dir")
-    return ExperimentConfig(machine=machine, fixture=fixture,
-                            scenarios=scenarios, output_dir=Path(output_dir),
-                            extra_diagnostics=diagnostics)
+    return config_from_doc(doc)
 
 
-def config_to_doc(config: ExperimentConfig) -> dict:
-    """Round-trippable plain-dict form of a config."""
-    m = config.machine
-    f = config.fixture
-    return {
-        "machine": {
-            "cpu": {"cores": m.cpu.cores, "freq_hz": m.cpu.freq_hz,
-                    "issue_width": m.cpu.issue_width,
-                    "fma_factor": m.cpu.fma_factor,
-                    "link_bandwidth": m.cpu.link_bandwidth,
-                    "launch_latency_s": m.cpu.launch_latency_s},
-            "ndp": {"stacks_x": m.ndp.stacks_x, "stacks_y": m.ndp.stacks_y,
-                    "units_per_stack": m.ndp.units_per_stack,
-                    "cores_per_unit": m.ndp.cores_per_unit,
-                    "freq_hz": m.ndp.freq_hz,
-                    "capacity_per_unit": m.ndp.capacity_per_unit,
-                    "spm_per_core": m.ndp.spm_per_core,
-                    "spm_per_stack": m.ndp.spm_per_stack,
-                    "launch_latency_s": m.ndp.launch_latency_s},
-            "hbm": {"channels_per_stack": m.hbm.channels_per_stack,
-                    "bus_width_bits": m.hbm.bus_width_bits,
-                    "rate_hz": m.hbm.rate_hz, "ddr_factor": m.hbm.ddr_factor,
-                    "total_capacity": m.hbm.total_capacity},
-            "interconnect": {
-                "mesh_link_bandwidth": m.interconnect.mesh_link_bandwidth,
-                "hop_latency_s": m.interconnect.hop_latency_s},
-            "cxt_s": m.cxt_s,
-        },
-        "workload": {
-            "nv_per_atom": f.nv_per_atom, "nc_per_atom": f.nc_per_atom,
-            "nr_per_atom": f.nr_per_atom,
-            "processes_cpu": f.processes_cpu, "processes_ndp": f.processes_ndp,
-            "orbital_groups_max": f.orbital_groups_max,
-            "response_dim_base": f.response_dim_base,
-            "response_dim_per_atom": f.response_dim_per_atom,
-            **{fam: {"flop_coef": co.flop_coef, "byte_coef": co.byte_coef}
-               for fam, co in sorted(f.families.items())},
-            "pseudo": {"flop_coef": f.families["pseudo"].flop_coef,
-                       "byte_coef": f.families["pseudo"].byte_coef,
-                       "projectors_per_atom": f.pseudo.projectors_per_atom},
-            "footprint": {
-                "base_small": f.footprint.base_small,
-                "per_process_small": f.footprint.per_process_small,
-                "base_large": f.footprint.base_large,
-                "per_process_large": f.footprint.per_process_large,
-                "shared_mode_overhead_factor":
-                    f.footprint.shared_mode_overhead_factor,
-                "processes_cpu": f.footprint.processes_cpu,
-                "processes_ndp": f.footprint.processes_ndp,
-                "small_atoms": f.footprint.small_atoms,
-                "large_atoms": f.footprint.large_atoms},
-            "targets": dict(f.targets),
-        },
-        "scenarios": [
-            {"n_atoms": sc.n_atoms, "policy": sc.policy,
-             "pseudo_mode": sc.pseudo_mode.value, "seed": sc.seed,
-             "exec_pseudo": sc.exec_pseudo}
-            for sc in config.scenarios
-        ],
-        "output_dir": str(config.output_dir),
-    }
+def config_to_doc(value):
+    """Round-trippable plain-data form of a config (or of any part of it)."""
+    if is_dataclass(value):
+        doc = {name: config_to_doc(getattr(value, f.name))
+               for name, (f, _) in _doc_fields(type(value)).items()}
+        if not isinstance(value, CalibrationFixture):
+            return doc
+        # the family table is spelled out per family, pseudo params merged in
+        out: dict = {}
+        for name, node in doc.items():
+            if name == "families":
+                out.update(sorted(node.items()))
+            elif name == "pseudo":
+                out.setdefault(name, {}).update(node)
+            else:
+                out[name] = node
+        return out
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: config_to_doc(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [config_to_doc(v) for v in value]
+    return value
 
 
 def write_default_config(path: str | Path) -> None:

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      LocalityError, RangeError, UnknownBlockError)
 from .machine import MachineConfig, UnitClass, UnitRef
-from .workload import (CalibrationFixture, FootprintParams, HEADER_BYTES,
-                       SystemSpec)
+from .workload import CalibrationFixture, HEADER_BYTES, SystemSpec
 
 log = logging.getLogger("ndftsim.runtime")
 
@@ -260,13 +259,17 @@ class NdpRuntime:
         _check_times(times)
         if block_id not in self.blocks:
             raise UnknownBlockError(f"block {block_id} not in directory")
+        for stack_id in (source_id, dest_id):
+            if not 0 <= stack_id < len(self.stacks):
+                raise DomainError(f"stack {stack_id} is not on the machine "
+                                  f"(0..{len(self.stacks) - 1})")
         block = self.blocks[block_id]
-        if source_id == dest_id:
-            self.comm.intra_stack_bytes += block.length * times
-            return block.address
         if block.owner_stack != dest_id:
             raise DomainError(f"block {block_id} is owned by stack "
                               f"{block.owner_stack}, not {dest_id}")
+        if source_id == dest_id:
+            self.comm.intra_stack_bytes += block.length * times
+            return block.address
         cached = self.stacks[source_id].remote_cache.get(block_id)
         if cached is not None:
             self.comm.requests_served_from_cache += times
@@ -512,29 +515,13 @@ def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
 # -- calibrated footprint model ----------------------------------------------
 
 
-def _anchor(fp: FootprintParams, system: SystemSize) -> tuple[float, float]:
-    if system is SystemSize.SMALL:
-        return fp.base_small, fp.per_process_small
-    return fp.base_large, fp.per_process_large
-
-
 def footprint_model(system: SystemSize, arch: Arch, mode: PseudoMode,
                     fixture: CalibrationFixture) -> float:
-    """Bytes of pseudopotential data resident on the machine.
-
-    Per-process-copy keeps one private copy per process; shared-block keeps
-    one distributed copy plus directory/index overhead expressed through the
-    shared-mode overhead factor.
-    """
+    """Bytes of pseudopotential data resident on one of the two calibrated
+    anchor systems (see footprint_for_atoms)."""
     fp = fixture.footprint
-    bad = fp.validate()
-    if bad:
-        raise ConfigurationError.from_diagnostic(bad[0])
-    base, per_proc = _anchor(fp, system)
-    if mode is PseudoMode.PER_PROCESS_COPY:
-        procs = fp.processes_ndp if arch is Arch.NDP else fp.processes_cpu
-        return base + procs * per_proc
-    return base + fp.shared_mode_overhead_factor * per_proc
+    n_atoms = fp.small_atoms if system is SystemSize.SMALL else fp.large_atoms
+    return footprint_for_atoms(n_atoms, arch, mode, fixture)
 
 
 def footprint_percentage(n_bytes: float, cfg: MachineConfig) -> float:
@@ -544,12 +531,17 @@ def footprint_percentage(n_bytes: float, cfg: MachineConfig) -> float:
 
 def footprint_for_atoms(n_atoms: int, arch: Arch, mode: PseudoMode,
                         fixture: CalibrationFixture) -> float:
-    """Footprint at an arbitrary system size.
+    """Bytes of pseudopotential data resident on the machine.
 
-    Power-law interpolation between the two calibrated anchor systems; the
-    anchors themselves reproduce the calibration cells exactly.
+    Per-process-copy keeps one private copy per process; shared-block keeps
+    one distributed copy plus directory/index overhead expressed through the
+    shared-mode overhead factor.  Base and per-process bytes are power-law
+    interpolations between the two calibrated anchor systems.
     """
     fp = fixture.footprint
+    bad = fp.validate()
+    if bad:
+        raise ConfigurationError.from_diagnostic(bad[0])
     if n_atoms <= 0:
         raise DomainError("n_atoms must be >= 1")
 

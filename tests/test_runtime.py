@@ -141,6 +141,26 @@ def test_unknown_block_is_an_error(cfg):
         runtime.broadcast(99)
 
 
+def test_remote_read_names_the_wrong_owner_before_counting(cfg):
+    runtime = NdpRuntime(cfg)
+    block = runtime.alloc_shared(payload(), UnitRef.ndp(0, 0))
+    before = dataclasses.replace(runtime.comm)
+    with pytest.raises(DomainError, match="owned by stack 0"):
+        runtime.read_remote(block.block_id, source_id=3, dest_id=3)
+    assert runtime.comm == before
+
+
+@pytest.mark.parametrize("source_id, dest_id", [(99, 0), (0, 16), (-1, 0),
+                                                (3, -1)])
+def test_remote_read_off_the_machine_is_domain_error(cfg, source_id, dest_id):
+    runtime = NdpRuntime(cfg)
+    block = runtime.alloc_shared(payload(), UnitRef.ndp(0, 0))
+    before = dataclasses.replace(runtime.comm)
+    with pytest.raises(DomainError, match="not on the machine"):
+        runtime.read_remote(block.block_id, source_id, dest_id)
+    assert runtime.comm == before
+
+
 def test_remote_write_invalidates_caches(cfg):
     runtime = NdpRuntime(cfg)
     idx, mat = payload()
