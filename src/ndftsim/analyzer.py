@@ -39,7 +39,6 @@ class Classification:
 class TimeEstimate:
     seconds: float
     limiting_term: LimitingTerm
-    unit: UnitRef
 
 
 def arithmetic_intensity(k: KernelDescriptor) -> float:
@@ -59,25 +58,15 @@ def classify(k: KernelDescriptor, unit_class: UnitClass,
     return Classification(ai=ai, bound=bound, ridge_used=ridge, unit_class=unit_class)
 
 
-def estimate_time(k: KernelDescriptor, unit: UnitRef, cfg: MachineConfig,
-                  split: int = 1) -> TimeEstimate:
-    """Roofline time of the kernel on one unit, plus its launch latency.
-
-    ``split`` divides flops and bytes first, for work shared evenly across
-    several units; callers pass the share they are placing here.
-    """
-    if split < 1:
-        raise DomainError("split must be >= 1")
-    flops = k.flops / split
-    total_bytes = (k.bytes_read + k.bytes_written) / split
-    compute_s = flops / peak_flops(unit.cls, cfg)
-    memory_s = total_bytes / unit_bandwidth(unit.cls, cfg)
+def estimate_time(k: KernelDescriptor, unit: UnitRef,
+                  cfg: MachineConfig) -> TimeEstimate:
+    """Roofline time of the kernel on one unit, plus its launch latency."""
+    compute_s = k.flops / peak_flops(unit.cls, cfg)
+    memory_s = (k.bytes_read + k.bytes_written) / unit_bandwidth(unit.cls, cfg)
     term = LimitingTerm.COMPUTE if compute_s >= memory_s else LimitingTerm.MEMORY
     return TimeEstimate(
         seconds=max(compute_s, memory_s) + launch_latency(unit.cls, cfg),
-        limiting_term=term,
-        unit=unit,
-    )
+        limiting_term=term)
 
 
 def classification_table(rows: list[tuple[str, str, KernelDescriptor]],

@@ -318,7 +318,7 @@ class LinkModel:
     move cut-through, ``n / bw + hops * hop`` (Path.seconds): a 3-hop 1 MB
     move costs 31.55 us.  The simulator's link FIFOs replay it
     store-and-forward, each link in turn taking ``n / bw + hop``: the same
-    move occupies the mesh for 94.05 us uncontended.  That split is part of
+    move occupies the mesh for 94.05 us uncontended.  This is part of
     the model's planner-vs-simulator gap, not an accident of either caller.
 
     Paths are built on first use and kept, one per ordered endpoint pair.

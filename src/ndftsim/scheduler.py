@@ -1,8 +1,8 @@
 """Cost-aware placement of whole tasks onto the CPU or NDP units.
 
 Placement granularity is the task (function); a task never splits across
-unit classes, and a tiled stage goes to one class as a group, split across
-that class's units.  The greedy list scheduler walks the deterministic
+unit classes, and a tiled stage goes to one class as a group, each tile on
+one of that class's units.  The greedy list scheduler walks the deterministic
 topological order stage by stage and picks, per group, the class minimizing
 completion time plus the boundary-handoff overhead the placement creates.
 Every cross-location data edge is one transfer; every CPU<->NDP data edge
@@ -58,28 +58,24 @@ class OverheadBreakdown:
 @dataclass
 class Schedule:
     policy: str
-    placements: dict[str, list[UnitRef]]
+    placements: dict[str, UnitRef]
     transfers: list[Transfer]
     # Cross-boundary producer->consumer edges; each charges one CXT.
     crossing_edges: list[tuple[str, str, str]] = field(default_factory=list)
     overhead: OverheadBreakdown | None = None
 
-    def units_of(self, task_id: str) -> list[UnitRef]:
-        return self.placements[task_id]
-
-    def to_csv(self, graph: TaskGraph, starts: dict[str, float] | None = None) -> str:
+    def to_csv(self, graph: TaskGraph) -> str:
+        """One row per task; the start_estimate_s column is kept empty."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["task_id", "family", "unit_class", "stack_id", "unit_id",
                          "start_estimate_s"])
         for tid in sorted(self.placements):
-            for u in self.placements[tid]:
-                writer.writerow([
-                    tid, graph.task(tid).family.value, u.cls.value,
-                    "" if u.stack_id is None else u.stack_id,
-                    "" if u.unit_id is None else u.unit_id,
-                    repr(starts.get(tid, 0.0)) if starts else "",
-                ])
+            u = self.placements[tid]
+            writer.writerow([
+                tid, graph.task(tid).family.value, u.cls.value,
+                "" if u.stack_id is None else u.stack_id,
+                "" if u.unit_id is None else u.unit_id, ""])
         return out.getvalue()
 
 
@@ -111,10 +107,10 @@ def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreak
 
 
 def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
-                             placements: dict[str, list[UnitRef]],
+                             placements: dict[str, UnitRef],
                              policy: str = "manual") -> Schedule:
     """Derive the full schedule (transfers, crossing edges, overhead) from a
-    task->units map.
+    task->unit map.
 
     Every data edge whose endpoints differ becomes one transfer; all-to-all
     tasks exchange partitions in place and stage nothing.  This is the single
@@ -128,13 +124,13 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
     location: dict[str, int] = {}
     for tid in graph.topo_order():
         task = graph.task(tid)
-        if tid not in placements or not placements[tid]:
-            raise ScheduleError(f"task {tid} has no placement")
-        for unit in placements[tid]:
-            if unit not in unit_loc:
-                unit.check_against(cfg)
-                unit_loc[unit] = unit.location()
-        dst = location[tid] = unit_loc[placements[tid][0]]
+        unit = placements.get(tid)
+        if not isinstance(unit, UnitRef):
+            raise ScheduleError(f"task {tid} is not placed on a unit: {unit!r}")
+        if unit not in unit_loc:
+            unit.check_against(cfg)
+            unit_loc[unit] = unit.location()
+        dst = location[tid] = unit_loc[unit]
         if task.family is KernelFamily.ALLTOALL:
             continue
         for oid in task.inputs:
@@ -205,7 +201,7 @@ class _PlanState:
             if obj.initial_location is not None:
                 self.obj_loc[oid] = obj.initial_location
                 self.obj_ready[oid] = 0.0
-        self.placements: dict[str, list[UnitRef]] = {}
+        self.placements: dict[str, UnitRef] = {}
         probe = {UnitClass.CPU: self.cpu, UnitClass.NDP_UNIT: UnitRef.ndp(0, 0)}
         self.duration: dict[UnitClass, dict[str, float]] = {}
         for cls in classes:
@@ -368,7 +364,7 @@ class _PlanState:
         self.link_free = chosen.link_free
         for task in members:
             unit = chosen.units[task.id]
-            self.placements[task.id] = [unit]
+            self.placements[task.id] = unit
             loc = unit.location()
             for oid in task.outputs:
                 self.obj_loc[oid] = loc

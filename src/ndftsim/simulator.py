@@ -92,14 +92,13 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     unit_name: dict[UnitRef, str] = {}
     task_loc: dict[str, int] = {}
     for t in graph.tasks:
-        units = placements.get(t.id)
-        if not units:
-            raise ScheduleError(f"task {t.id} has no placement")
-        for u in units:
-            if u not in unit_loc:
-                unit_loc[u] = u.location()
-                unit_name[u] = str(u)
-        task_loc[t.id] = unit_loc[units[0]]
+        u = placements.get(t.id)
+        if not isinstance(u, UnitRef):
+            raise ScheduleError(f"task {t.id} is not placed on a unit: {u!r}")
+        if u not in unit_loc:
+            unit_loc[u] = u.location()
+            unit_name[u] = str(u)
+        task_loc[t.id] = unit_loc[u]
 
     links = cfg.links
     hop = links.hop
@@ -118,9 +117,8 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     comm.merge(trace.comm)
     pseudo_gate: dict[int, float] = {}
     has_ndp_pseudo = any(
-        u.cls is UnitClass.NDP_UNIT
-        for t in graph.tasks if t.family is KernelFamily.PSEUDO
-        for u in placements[t.id])
+        placements[t.id].cls is UnitClass.NDP_UNIT
+        for t in graph.tasks if t.family is KernelFamily.PSEUDO)
     if has_ndp_pseudo:
         # Fetches run stack to stack, all ready at 0, over mesh routes.  The
         # trace repeats a few (src, dst, bytes) rows, so each row is routed
@@ -149,77 +147,71 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     path_of = links.path
     producers = graph.producers
     objects = graph.data_objects
-    # estimate_time depends only on the unit class, the split and the
-    # task's (flops, bytes read, bytes written) shape
+    # estimate_time depends only on the unit class and the task's (flops,
+    # bytes read, bytes written) shape
     durations: dict[tuple, float] = {}
     task_end: dict[str, float] = {}
 
     for tid in graph.topo_order():
         task = graph.task(tid)
         family = task.family
-        units = placements[tid]
-        n_units = len(units)
-        end_times = []
-        for u in units:
-            u_loc = unit_loc[u]
-            name = unit_name[u]
-            free_at = unit_free.get(u, 0.0)
-            data_ready = 0.0
-            if family is not KernelFamily.ALLTOALL:
-                for oid in task.inputs:
-                    prod = producers.get(oid)
-                    if prod is None:
-                        avail = 0.0
-                        src = objects[oid].initial_location
-                        if src is None:
-                            raise ScheduleError(
-                                f"object {oid} has no producer or home")
-                    else:
-                        avail = task_end.get(prod, 0.0)
-                        src = task_loc[prod]
-                    path = LOCAL_PATH if src == u_loc else path_of(src, u_loc)
-                    if path.kind is not PathKind.LOCAL:
-                        size = objects[oid].size
-                        start, end = _occupy(free, path, size, avail, hop)
-                        timeline.append(TimelineEvent(
-                            start, end, "transfer", path.name, f"{oid}->{tid}",
-                            size))
-                        transferred += size
-                        if path.kind is PathKind.MESH:
-                            comm.inter_stack_bytes += size
-                            comm.inter_stack_messages += 1
-                        avail = end
-                    data_ready = max(data_ready, avail)
-            else:
-                for oid in task.inputs:
-                    prod = producers.get(oid)
-                    data_ready = max(data_ready, task_end.get(prod, 0.0) if prod else 0.0)
-            start = max(free_at, data_ready)
-            n_cxt = cxt_per_consumer.get(tid, 0)
-            if n_cxt and cfg.cxt_s > 0:
-                timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
-                                              "cxt", name, tid))
-                start += n_cxt * cfg.cxt_s
-            if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
-                start = max(start, pseudo_gate[u_loc])
-            if family is KernelFamily.ALLTOALL:
-                dur, moved = _alltoall_phase(task, graph, task_loc, links, free,
-                                             start, timeline, comm)
-                transferred += moved
-            else:
-                shape = (u.cls, n_units, task.flops, task.bytes_read,
-                         task.bytes_written)
-                dur = durations.get(shape)
-                if dur is None:
-                    dur = durations[shape] = estimate_time(
-                        task, u, cfg, split=n_units).seconds
-            end = start + dur
-            unit_free[u] = end
-            end_times.append(end)
-            fams = busy.setdefault(u, {})
-            fams[family] = fams.get(family, 0.0) + dur
-            timeline.append(TimelineEvent(start, end, "task", name, tid))
-        task_end[tid] = max(end_times)
+        u = placements[tid]
+        u_loc = unit_loc[u]
+        name = unit_name[u]
+        free_at = unit_free.get(u, 0.0)
+        data_ready = 0.0
+        if family is not KernelFamily.ALLTOALL:
+            for oid in task.inputs:
+                prod = producers.get(oid)
+                if prod is None:
+                    avail = 0.0
+                    src = objects[oid].initial_location
+                    if src is None:
+                        raise ScheduleError(
+                            f"object {oid} has no producer or home")
+                else:
+                    avail = task_end.get(prod, 0.0)
+                    src = task_loc[prod]
+                path = LOCAL_PATH if src == u_loc else path_of(src, u_loc)
+                if path.kind is not PathKind.LOCAL:
+                    size = objects[oid].size
+                    start, end = _occupy(free, path, size, avail, hop)
+                    timeline.append(TimelineEvent(
+                        start, end, "transfer", path.name, f"{oid}->{tid}",
+                        size))
+                    transferred += size
+                    if path.kind is PathKind.MESH:
+                        comm.inter_stack_bytes += size
+                        comm.inter_stack_messages += 1
+                    avail = end
+                data_ready = max(data_ready, avail)
+        else:
+            for oid in task.inputs:
+                prod = producers.get(oid)
+                data_ready = max(data_ready, task_end.get(prod, 0.0) if prod else 0.0)
+        start = max(free_at, data_ready)
+        n_cxt = cxt_per_consumer.get(tid, 0)
+        if n_cxt and cfg.cxt_s > 0:
+            timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
+                                          "cxt", name, tid))
+            start += n_cxt * cfg.cxt_s
+        if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
+            start = max(start, pseudo_gate[u_loc])
+        if family is KernelFamily.ALLTOALL:
+            dur, moved = _alltoall_phase(task, graph, task_loc, links, free,
+                                         start, timeline, comm)
+            transferred += moved
+        else:
+            shape = (u.cls, task.flops, task.bytes_read, task.bytes_written)
+            dur = durations.get(shape)
+            if dur is None:
+                dur = durations[shape] = estimate_time(task, u, cfg).seconds
+        end = start + dur
+        unit_free[u] = end
+        fams = busy.setdefault(u, {})
+        fams[family] = fams.get(family, 0.0) + dur
+        timeline.append(TimelineEvent(start, end, "task", name, tid))
+        task_end[tid] = end
 
     makespan = max((max(map(attrgetter("t_end"), timeline)) if timeline else 0.0),
                    max(task_end.values(), default=0.0))

@@ -93,12 +93,19 @@ class FootprintParams:
     large_atoms: int = 1024
 
     def validate(self) -> list[str]:
+        key = "workload.footprint"
         bad = []
         for name in ("base_small", "per_process_small", "base_large", "per_process_large"):
             if getattr(self, name) <= 0:
-                bad.append(f"footprint.{name}: must be > 0")
+                bad.append(f"{key}.{name}: must be > 0")
         if self.shared_mode_overhead_factor < 1:
-            bad.append("footprint.shared_mode_overhead_factor: must be >= 1")
+            bad.append(f"{key}.shared_mode_overhead_factor: must be >= 1")
+        for name in ("processes_cpu", "processes_ndp", "small_atoms"):
+            if getattr(self, name) < 1:
+                bad.append(f"{key}.{name}: must be >= 1")
+        if self.large_atoms <= self.small_atoms:
+            # the two anchors fix the interpolation exponent's denominator
+            bad.append(f"{key}.large_atoms: must be > {key}.small_atoms")
         return bad
 
 
@@ -369,7 +376,7 @@ def kernel_cost(family: KernelFamily, fixture: CalibrationFixture,
 
 
 def _split_even(total: int, parts: int) -> list[int]:
-    """Deterministic near-even split; first (total % parts) parts get one extra."""
+    """Deterministic near-even division; first (total % parts) parts get one extra."""
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
 

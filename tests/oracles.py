@@ -104,13 +104,13 @@ def face_split_flops_by_execution(xs: list[complex], ys: list[complex],
 def best_placement_by_enumeration(graph: TaskGraph, cfg: MachineConfig,
                                   fixture: CalibrationFixture,
                                   units: list[UnitRef],
-                                  ) -> tuple[float, dict[str, list[UnitRef]]]:
+                                  ) -> tuple[float, dict[str, UnitRef]]:
     """Exhaustive brute force over every task-to-unit assignment."""
     ids = [t.id for t in graph.tasks]
     best = None
     best_map = None
     for combo in itertools.product(units, repeat=len(ids)):
-        mapping = {tid: [u] for tid, u in zip(ids, combo)}
+        mapping = dict(zip(ids, combo))
         schedule = schedule_from_placements(graph, cfg, mapping)
         report = simulate(schedule, graph, cfg, fixture)
         if best is None or report.makespan < best:

@@ -179,7 +179,7 @@ def test_criterion_4_greedy_within_oracle_bound(calibrated):
         best = None
         ids = [t.id for t in graph.tasks]
         for combo in itertools.product(units, repeat=len(ids)):
-            mapping = {tid: [u] for tid, u in zip(ids, combo)}
+            mapping = dict(zip(ids, combo))
             s = schedule_from_placements(graph, tiny, mapping)
             best_candidate = simulate(s, graph, tiny, calibrated).makespan
             if best is None or best_candidate < best:

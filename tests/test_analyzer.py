@@ -102,14 +102,6 @@ def test_estimate_scales_linearly_above_latency(flops, total_bytes, c):
     assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
-def test_split_divides_work(cfg):
-    k = kd(8e9, 8e9, 0)
-    whole = estimate_time(k, UnitRef.ndp(0, 0), cfg).seconds
-    quarter = estimate_time(k, UnitRef.ndp(0, 0), cfg, split=4).seconds
-    lat = launch_latency(UnitClass.NDP_UNIT, cfg)
-    assert quarter - lat == pytest.approx((whole - lat) / 4)
-
-
 def test_classification_table_csv(cfg):
     k = kd(5 * 4096 * 12, 16 * 4096, 16 * 4096, family=KernelFamily.FFT)
     csv_text = classification_table([("fft", "si_64", k)], cfg)

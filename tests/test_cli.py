@@ -151,6 +151,17 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     (("scenarios", 0, "polcy"), "hybrid", "scenarios[0].polcy"),
     (("workload", "gemm", "flop_coeff"), 1.0, "workload.gemm.flop_coeff"),
     (("machine", "cpu", "l1_bytes"), 32768, "machine.cpu.l1_bytes"),
+    (("workload", "footprint", "small_atoms"), 1024,
+     "workload.footprint.small_atoms"),
+    (("workload", "footprint", "small_atoms"), 0,
+     "workload.footprint.small_atoms"),
+    (("workload", "footprint", "large_atoms"), -5,
+     "workload.footprint.large_atoms"),
+    (("workload", "footprint", "processes_cpu"), 0,
+     "workload.footprint.processes_cpu"),
+    (("workload", "footprint", "processes_ndp"), -3,
+     "workload.footprint.processes_ndp"),
+    (("workload", "footprint", "base_small"), 0, "workload.footprint.base_small"),
 ])
 def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
                                               value, key):

@@ -153,4 +153,4 @@ def test_placement_outside_the_machine_is_rejected(cfg, unit):
         {"x": MIB, "y": MIB, "z": 8})
     with pytest.raises(DomainError):
         schedule_from_placements(graph, cfg,
-                                 {"a": [UnitRef.ndp(0, 0)], "b": [unit]})
+                                 {"a": UnitRef.ndp(0, 0), "b": unit})

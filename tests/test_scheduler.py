@@ -129,7 +129,7 @@ def test_single_small_memory_bound_task_goes_to_ndp():
           "inputs": ("x",), "outputs": ("y",)}],
         {"x": 1000, "y": 1000})
     schedule = plan(graph, cfg, policy="hybrid")
-    unit = schedule.placements["t0"][0]
+    unit = schedule.placements["t0"]
     assert unit.cls is UnitClass.NDP_UNIT
 
 
@@ -168,10 +168,10 @@ def test_chain_placement_matches_brute_force():
             for b_cls in (UnitClass.CPU, UnitClass.NDP_UNIT):
                 mapping = {}
                 for i, t in enumerate(graph.tasks[:-1]):
-                    mapping[t.id] = [UnitRef.cpu() if a_cls is UnitClass.CPU
-                                     else UnitRef.ndp(i % 16, i % 8)]
-                mapping["b"] = [UnitRef.cpu() if b_cls is UnitClass.CPU
-                                else UnitRef.ndp(0, 0)]
+                    mapping[t.id] = (UnitRef.cpu() if a_cls is UnitClass.CPU
+                                     else UnitRef.ndp(i % 16, i % 8))
+                mapping["b"] = (UnitRef.cpu() if b_cls is UnitClass.CPU
+                                else UnitRef.ndp(0, 0))
                 s = schedule_from_placements(graph, cfg, mapping)
                 r = simulate(s, graph, cfg, fixture)
                 if best is None or r.makespan < best[0]:
@@ -183,9 +183,9 @@ def test_chain_placement_matches_brute_force():
             assert a_best == b_best  # colocated on the cheaper class
 
         schedule = plan(graph, cfg, policy="hybrid")
-        a_classes = {schedule.placements[t.id][0].cls for t in graph.tasks[:-1]}
+        a_classes = {schedule.placements[t.id].cls for t in graph.tasks[:-1]}
         assert a_classes == {a_best}
-        assert schedule.placements["b"][0].cls is b_best
+        assert schedule.placements["b"].cls is b_best
 
 
 def unpruned_hybrid_plan(graph, cfg) -> Schedule:
@@ -271,7 +271,7 @@ def test_oversize_task_raises_capacity_error_under_ndp_only(cfg):
         plan(graph, cfg, policy="ndp_only")
     # hybrid falls back to the CPU side
     schedule = plan(graph, cfg, policy="hybrid")
-    assert schedule.placements["t0"][0].cls is UnitClass.CPU
+    assert schedule.placements["t0"].cls is UnitClass.CPU
 
 
 def test_hybrid_never_loses_to_both_baselines(cfg, calibrated):

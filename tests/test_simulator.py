@@ -6,7 +6,7 @@ import pytest
 from ndftsim.errors import DomainError, ScheduleError
 from ndftsim.machine import UnitRef
 from ndftsim.runtime import PseudoMode
-from ndftsim.scheduler import plan, schedule_from_placements
+from ndftsim.scheduler import Schedule, plan, schedule_from_placements
 from ndftsim.simulator import compare, simulate
 from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
                               derive_system)
@@ -28,7 +28,7 @@ def test_single_task_pays_transfer_plus_estimate(cfg, calibrated):
           "inputs": ("x",), "outputs": ("y",)}],
         {"x": 10 ** 6, "y": 8})
     unit = UnitRef.ndp(0, 0)
-    schedule = schedule_from_placements(graph, cfg, {"t0": [unit]})
+    schedule = schedule_from_placements(graph, cfg, {"t0": unit})
     report = simulate(schedule, graph, cfg, calibrated,
                       pseudo_mode=PseudoMode.PER_PROCESS_COPY)
     expect = (1e6 / 64e9 + 100e-9) + (1e6 / 32e9 + 1e-6)
@@ -40,24 +40,28 @@ def test_two_independent_tasks_run_in_parallel(cfg, calibrated):
               "inputs": (), "outputs": (f"o{i}",)} for i in range(2)]
     graph = make_graph(tasks, {"o0": 8, "o1": 8})
     both = schedule_from_placements(
-        graph, cfg, {"t0": [UnitRef.ndp(0, 0)], "t1": [UnitRef.ndp(0, 1)]})
+        graph, cfg, {"t0": UnitRef.ndp(0, 0), "t1": UnitRef.ndp(0, 1)})
     r_par = simulate(both, graph, cfg, calibrated,
                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
     single = 4e9 / 4e9 + 1e-6
     assert r_par.makespan == pytest.approx(single)
     same = schedule_from_placements(
-        graph, cfg, {"t0": [UnitRef.ndp(0, 0)], "t1": [UnitRef.ndp(0, 0)]})
+        graph, cfg, {"t0": UnitRef.ndp(0, 0), "t1": UnitRef.ndp(0, 0)})
     r_ser = simulate(same, graph, cfg, calibrated,
                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
     assert r_ser.makespan == pytest.approx(2 * single)
 
 
 def test_unplaced_task_is_schedule_error(cfg, calibrated):
+    """A missing placement, or one in the old list shape, names the task."""
     graph = make_graph([{"id": "t0", "flops": 1.0, "br": 8.0, "bw": 0.0,
                          "inputs": (), "outputs": ("o",)}], {"o": 8})
-    with pytest.raises(ScheduleError):
-        simulate(schedule_from_placements(graph, cfg, {}), graph, cfg,
-                 calibrated)
+    for placements in ({}, {"t0": [UnitRef.ndp(0, 0)]}):
+        with pytest.raises(ScheduleError, match="t0"):
+            schedule_from_placements(graph, cfg, placements)
+        with pytest.raises(ScheduleError, match="t0"):
+            simulate(Schedule("manual", placements, []), graph, cfg,
+                     calibrated)
 
 
 def test_alltoall_partitions_on_stacks_exchange_over_the_mesh(cfg, calibrated):
@@ -68,7 +72,7 @@ def test_alltoall_partitions_on_stacks_exchange_over_the_mesh(cfg, calibrated):
         {"p0": 10 ** 6, "p5": 10 ** 6, "y": 8})
     graph.data_objects["p0"] = DataObject("p0", 10 ** 6, 0)
     graph.data_objects["p5"] = DataObject("p5", 10 ** 6, 5)
-    schedule = schedule_from_placements(graph, cfg, {"x": [UnitRef.ndp(0, 0)]})
+    schedule = schedule_from_placements(graph, cfg, {"x": UnitRef.ndp(0, 0)})
     report = simulate(schedule, graph, cfg, calibrated,
                       pseudo_mode=PseudoMode.PER_PROCESS_COPY)
     exchanges = sorted((ev.task_or_object, ev.unit, ev.bytes)
