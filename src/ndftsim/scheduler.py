@@ -2,11 +2,12 @@
 
 Placement granularity is the task (function); a task never splits across
 unit classes, and a tiled stage goes to one class as a group, each tile on
-one of that class's units.  The greedy list scheduler walks the deterministic
-topological order stage by stage and picks, per group, the class minimizing
-completion time plus the boundary-handoff overhead the placement creates.
-Every cross-location data edge is one transfer; every CPU<->NDP data edge
-additionally charges one context-handoff constant.
+one of that class's units.  The greedy list scheduler walks the graph's task
+list, which is its execution order, stage by stage and picks, per group, the
+class minimizing completion time plus the boundary-handoff overhead the
+placement creates.  Every cross-location data edge is one transfer; every
+CPU<->NDP data edge additionally charges one context-handoff constant.  The
+simulator replays exactly the transfers a schedule lists.
 """
 
 from __future__ import annotations
@@ -112,18 +113,19 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
     """Derive the full schedule (transfers, crossing edges, overhead) from a
     task->unit map.
 
-    Every data edge whose endpoints differ becomes one transfer; all-to-all
-    tasks exchange partitions in place and stage nothing.  This is the single
-    source of truth for the edge bookkeeping: plan() and the exhaustive
-    oracle both go through it.
+    Every data edge whose endpoints differ becomes one transfer, listed in
+    task order and, within a task, in input order; all-to-all tasks exchange
+    partitions in place and stage nothing.  This is the single source of
+    truth for the edge bookkeeping: plan() and the exhaustive oracle both go
+    through it, and simulate() replays the transfers it lists.
     """
     transfers: list[Transfer] = []
     crossings: list[tuple[str, str, str]] = []
     path = cfg.links.path
     unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
-    for tid in graph.topo_order():
-        task = graph.task(tid)
+    for task in graph.tasks:
+        tid = task.id
         unit = placements.get(tid)
         if not isinstance(unit, UnitRef):
             raise ScheduleError(f"task {tid} is not placed on a unit: {unit!r}")
@@ -374,8 +376,9 @@ class _PlanState:
 def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedule:
     """List-schedule the graph under a placement policy.
 
-    ``hybrid`` chooses per stage group between the CPU and the NDP fleet;
-    ``cpu_only`` / ``ndp_only`` force one class and serve as the measurement
+    ``hybrid`` chooses per stage group (consecutive tasks sharing a
+    ``stage``) between the CPU and the NDP fleet; ``cpu_only`` /
+    ``ndp_only`` force one class and serve as the measurement
     baselines.  Each class is scored with a one-group lookahead: the best
     finish of the next group on the state the class leaves behind, plus
     the class's own boundary overhead; the lowest (score, -resident input
@@ -396,13 +399,11 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     state = _PlanState(graph, cfg, classes)
 
     groups: list[tuple[str, list]] = []
-    for tid in graph.topo_order():
-        task = graph.task(tid)
-        key = task.id.rsplit("_", 1)[0]
-        if groups and groups[-1][0] == key:
+    for task in graph.tasks:
+        if groups and groups[-1][0] == task.stage:
             groups[-1][1].append(task)
         else:
-            groups.append((key, [task]))
+            groups.append((task.stage, [task]))
 
     evaluations = state.evaluate_all(groups[0][1]) if groups else {}
     for gi, (key, members) in enumerate(groups):

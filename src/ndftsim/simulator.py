@@ -1,9 +1,10 @@
 """Deterministic analytic event simulation of a scheduled task graph.
 
-Each unit serializes its assigned tasks; every data edge whose endpoints
-differ moves its object over the links, which serialize FIFO; boundary
-handoffs stall the receiving unit for the configured constant.  All queues
-drain in a fixed order, so identical inputs give byte-identical reports.
+Tasks run in the graph's list order and each unit serializes its own; the
+schedule's transfers are replayed over the links, which serialize FIFO;
+boundary handoffs stall the receiving unit for the configured constant.  All
+queues drain in a fixed order, so identical inputs give byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import NamedTuple
 
 from .analyzer import estimate_time
 from .errors import DomainError, ScheduleError
-from .machine import (CPU_SIDE, LOCAL_PATH, LinkModel, MachineConfig, Path,
-                      PathKind, UnitClass, UnitRef)
+from .machine import (CPU_SIDE, LinkModel, MachineConfig, Path, PathKind,
+                      UnitClass, UnitRef)
 from .runtime import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
-from .scheduler import Schedule, scheduling_overhead
+from .scheduler import Schedule, Transfer, scheduling_overhead
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
 
 
@@ -86,7 +87,15 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
              fixture: CalibrationFixture,
              pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK,
              ) -> SimulationReport:
-    """Run the event model and report makespan, breakdowns, and traffic."""
+    """Run the event model and report makespan, breakdowns, and traffic.
+
+    Tasks run in ``graph.tasks`` order.  The moves are exactly the
+    schedule's transfers, replayed in list order, each ready when its
+    object's producer ends (at 0 for a resident object); a transfer for a
+    task not in the graph is a ScheduleError.  A task starts once its unit
+    is free, its inputs' producers have ended and its moves have arrived,
+    and then waits out its boundary handoffs.
+    """
     placements = schedule.placements
     unit_loc: dict[UnitRef, int] = {}
     unit_name: dict[UnitRef, str] = {}
@@ -96,6 +105,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         if not isinstance(u, UnitRef):
             raise ScheduleError(f"task {t.id} is not placed on a unit: {u!r}")
         if u not in unit_loc:
+            u.check_against(cfg)
             unit_loc[u] = u.location()
             unit_name[u] = str(u)
         task_loc[t.id] = unit_loc[u]
@@ -108,6 +118,12 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     busy: dict[UnitRef, dict[KernelFamily, float]] = {}
     comm = CommStats()
     transferred = 0
+    moves: dict[str, list[Transfer]] = {}
+    for move in schedule.transfers:
+        moves.setdefault(move.cause_task, []).append(move)
+    stray = moves.keys() - task_loc.keys()
+    if stray:
+        raise ScheduleError(f"transfers for tasks not in the graph: {sorted(stray)}")
     cxt_per_consumer: dict[str, int] = {}
     for _p, consumer, _o in schedule.crossing_edges:
         cxt_per_consumer[consumer] = cxt_per_consumer.get(consumer, 0) + 1
@@ -146,50 +162,34 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
 
     path_of = links.path
     producers = graph.producers
-    objects = graph.data_objects
     # estimate_time depends only on the unit class and the task's (flops,
     # bytes read, bytes written) shape
     durations: dict[tuple, float] = {}
     task_end: dict[str, float] = {}
 
-    for tid in graph.topo_order():
-        task = graph.task(tid)
+    for task in graph.tasks:
+        tid = task.id
         family = task.family
         u = placements[tid]
         u_loc = unit_loc[u]
         name = unit_name[u]
-        free_at = unit_free.get(u, 0.0)
         data_ready = 0.0
-        if family is not KernelFamily.ALLTOALL:
-            for oid in task.inputs:
-                prod = producers.get(oid)
-                if prod is None:
-                    avail = 0.0
-                    src = objects[oid].initial_location
-                    if src is None:
-                        raise ScheduleError(
-                            f"object {oid} has no producer or home")
-                else:
-                    avail = task_end.get(prod, 0.0)
-                    src = task_loc[prod]
-                path = LOCAL_PATH if src == u_loc else path_of(src, u_loc)
-                if path.kind is not PathKind.LOCAL:
-                    size = objects[oid].size
-                    start, end = _occupy(free, path, size, avail, hop)
-                    timeline.append(TimelineEvent(
-                        start, end, "transfer", path.name, f"{oid}->{tid}",
-                        size))
-                    transferred += size
-                    if path.kind is PathKind.MESH:
-                        comm.inter_stack_bytes += size
-                        comm.inter_stack_messages += 1
-                    avail = end
-                data_ready = max(data_ready, avail)
-        else:
-            for oid in task.inputs:
-                prod = producers.get(oid)
-                data_ready = max(data_ready, task_end.get(prod, 0.0) if prod else 0.0)
-        start = max(free_at, data_ready)
+        for oid in task.inputs:
+            # a resident input has no producer; None is never a task id
+            data_ready = max(data_ready, task_end.get(producers.get(oid), 0.0))
+        for move in moves.get(tid, ()):
+            path = path_of(move.src, move.dst)
+            ready = task_end.get(producers.get(move.object_id), 0.0)
+            start, end = _occupy(free, path, move.bytes, ready, hop)
+            timeline.append(TimelineEvent(
+                start, end, "transfer", path.name, f"{move.object_id}->{tid}",
+                move.bytes))
+            transferred += move.bytes
+            if path.kind is PathKind.MESH:
+                comm.inter_stack_bytes += move.bytes
+                comm.inter_stack_messages += 1
+            data_ready = max(data_ready, end)
+        start = max(unit_free.get(u, 0.0), data_ready)
         n_cxt = cxt_per_consumer.get(tid, 0)
         if n_cxt and cfg.cxt_s > 0:
             timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,

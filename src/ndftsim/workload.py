@@ -211,6 +211,7 @@ class KernelDescriptor:
     bytes_written: float
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
+    stage: str = ""  # consecutive tasks of one stage are placed as one group
 
     @property
     def total_bytes(self) -> float:
@@ -226,53 +227,44 @@ class DataObject:
 
 @dataclass
 class TaskGraph:
+    """Tasks in execution order, the data they move, and the system size.
+
+    Every task is listed after the producers of its inputs; the planner and
+    the simulator walk the list as given.  ``producers`` and ``edges``
+    (producer, consumer, object) are derived from it, and construction
+    raises DomainError for an input whose producer is listed later.
+    """
+
     tasks: list[KernelDescriptor]
     data_objects: dict[str, DataObject]
-    edges: list[tuple[str, str, str]]  # (producer task, consumer task, object)
     system: SystemSpec
+    edges: list[tuple[str, str, str]] = field(init=False)
 
     def __post_init__(self):
         self._by_id = {t.id: t for t in self.tasks}
         self.producers: dict[str, str] = {}
+        self.edges = []
+        early: dict[str, str] = {}  # object -> first task that read it unproduced
         for t in self.tasks:
-            for o in t.outputs:
-                self.producers[o] = t.id
-        self._order: list[str] | None = None
+            for oid in t.inputs:
+                producer = self.producers.get(oid)
+                if producer is None:
+                    early.setdefault(oid, t.id)
+                else:
+                    self.edges.append((producer, t.id, oid))
+            for oid in t.outputs:
+                if oid in early:
+                    raise DomainError(
+                        f"task {early[oid]} consumes {oid} before its "
+                        f"producer {t.id} is listed")
+                self.producers[oid] = t.id
 
     def task(self, task_id: str) -> KernelDescriptor:
         return self._by_id[task_id]
 
     def topo_order(self) -> list[str]:
-        """Deterministic topological order (Kahn, lexicographic ready set).
-
-        Computed on the first call; every call returns a fresh copy, so
-        callers may mutate the list.
-        """
-        if self._order is None:
-            self._order = self._kahn()
-        return list(self._order)
-
-    def _kahn(self) -> list[str]:
-        indeg = {t.id: 0 for t in self.tasks}
-        succs: dict[str, list[str]] = {t.id: [] for t in self.tasks}
-        for prod, cons, _obj in self.edges:
-            succs[prod].append(cons)
-            indeg[cons] += 1
-        import heapq
-
-        ready = [tid for tid, d in sorted(indeg.items()) if d == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            tid = heapq.heappop(ready)
-            order.append(tid)
-            for nxt in succs[tid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
-        if len(order) != len(self.tasks):
-            raise DomainError("task graph contains a cycle")
-        return order
+        """Task ids in execution order, the order of ``tasks``; a fresh list."""
+        return [t.id for t in self.tasks]
 
     def total_flops(self) -> float:
         return sum(t.flops for t in self.tasks)
@@ -389,6 +381,11 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     and the pair space into the corresponding group grid, so task counts stay
     bounded while total work is preserved.  ``pseudo_mode`` decides whether
     the pseudopotential tasks carry per-process materialization traffic.
+
+    The tasks are listed in execution order, stage by stage: s1 conduction
+    groups, s1 valence groups, every s2 face-splitting product, every s3
+    product FFT, then s4 to s7.  Each task's ``stage`` is its id up to the
+    last "_".
     """
     spec.validate()
     nv, nc, nr, procs = spec.n_valence, spec.n_conduction, spec.n_grid, spec.n_processes
@@ -417,14 +414,15 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
 
     # Stage 1: orbital transforms, one task per orbital group.
     orbital_groups: dict[str, list[tuple[str, int]]] = {"v": [], "c": []}
-    for kind, total, groups in (("v", nv, gv), ("c", nc, gc)):
+    for kind, total, groups in (("c", nc, gc), ("v", nv, gv)):
         sizes = _split_even(total, groups)
+        stage = f"s1_fft_orb_{kind}"
         for i, norb in enumerate(sizes):
             raw = add_object(f"orb_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, HOST)
             out = add_object(f"orbhat_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, None)
             fl, br, bw = cost(KernelFamily.FFT, n=nr, count=norb)
             tasks.append(KernelDescriptor(
-                id=f"s1_fft_orb_{kind}_{i:04d}", family=KernelFamily.FFT,
+                id=f"{stage}_{i:04d}", stage=stage, family=KernelFamily.FFT,
                 flops=fl, bytes_read=br, bytes_written=bw,
                 inputs=(raw,), outputs=(out,)))
             orbital_groups[kind].append((out, norb))
@@ -434,6 +432,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     n_cells = gv * gc
     cell_pairs = _split_even(d_resp, n_cells)
     cell_out: list[tuple[str, int]] = []
+    prod_ffts: list[KernelDescriptor] = []  # listed after every s2 task
     for idx in range(n_cells):
         pairs = cell_pairs[idx]
         if pairs == 0:
@@ -444,16 +443,17 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         prod = add_object(f"prod_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
         fl, br, bw = cost(KernelFamily.FACE_SPLIT, n=nr, count=pairs)
         tasks.append(KernelDescriptor(
-            id=f"s2_face_{idx:04d}", family=KernelFamily.FACE_SPLIT,
+            id=f"s2_face_{idx:04d}", stage="s2_face", family=KernelFamily.FACE_SPLIT,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=(vin, cin), outputs=(prod,)))
         phat = add_object(f"prodhat_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
         fl, br, bw = cost(KernelFamily.FFT, n=nr, count=pairs)
-        tasks.append(KernelDescriptor(
-            id=f"s3_fft_prod_{idx:04d}", family=KernelFamily.FFT,
+        prod_ffts.append(KernelDescriptor(
+            id=f"s3_fft_prod_{idx:04d}", stage="s3_fft_prod", family=KernelFamily.FFT,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=(prod,), outputs=(phat,)))
         cell_out.append((phat, pairs))
+    tasks.extend(prod_ffts)
 
     # Stage 4: pseudopotential application, one task per process over the
     # cells it owns, passing each cell through updated.  Per-process-copy
@@ -479,7 +479,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         if not outs:  # keep every process represented even with no cells
             outs.append((add_object(f"pstate_x{p:04d}", REAL_BYTES, None), 0))
         tasks.append(KernelDescriptor(
-            id=f"s4_pseudo_{p:04d}", family=KernelFamily.PSEUDO,
+            id=f"s4_pseudo_{p:04d}", stage="s4_pseudo", family=KernelFamily.PSEUDO,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=tuple(c[1] for c in cells), outputs=tuple(o for o, _ in outs)))
         pstate.append((outs, p))
@@ -494,7 +494,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         fl, br, bw = cost(KernelFamily.GEMM, m=rows, n=d_resp, k=nr)
         rt = add_object(f"resp_{p:04d}", REAL_BYTES * rows * d_resp, None)
         tasks.append(KernelDescriptor(
-            id=f"s5_gemm_{p:04d}", family=KernelFamily.GEMM,
+            id=f"s5_gemm_{p:04d}", stage="s5_gemm", family=KernelFamily.GEMM,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=tuple(o for o, _ in outs), outputs=(rt,)))
         resp_parts.append(rt)
@@ -505,7 +505,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     fl, br, bw = kernel_cost(KernelFamily.ALLTOALL, fixture, payload_bytes=payload)
     response = add_object("response", payload, None)
     tasks.append(KernelDescriptor(
-        id="s6_alltoall", family=KernelFamily.ALLTOALL,
+        id="s6_alltoall", stage="s6", family=KernelFamily.ALLTOALL,
         flops=fl, bytes_read=br, bytes_written=bw,
         inputs=tuple(resp_parts), outputs=(response,)))
 
@@ -513,21 +513,8 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     fl, br, bw = kernel_cost(KernelFamily.SYEVD, fixture, n=d_resp)
     spectrum = add_object("spectrum", 2 * REAL_BYTES * d_resp, None)
     tasks.append(KernelDescriptor(
-        id="s7_syevd", family=KernelFamily.SYEVD,
+        id="s7_syevd", stage="s7", family=KernelFamily.SYEVD,
         flops=fl, bytes_read=br, bytes_written=bw,
         inputs=(response,), outputs=(spectrum,)))
 
-    # Edges follow from output/input overlap.
-    producers = {}
-    for t in tasks:
-        for o in t.outputs:
-            producers[o] = t.id
-    edges = []
-    for t in tasks:
-        for o in t.inputs:
-            if o in producers:
-                edges.append((producers[o], t.id, o))
-
-    graph = TaskGraph(tasks=tasks, data_objects=objects, edges=edges, system=spec)
-    graph.topo_order()  # raises on cycles
-    return graph
+    return TaskGraph(tasks=tasks, data_objects=objects, system=spec)

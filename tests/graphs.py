@@ -10,7 +10,11 @@ from ndftsim.workload import (DataObject, KernelDescriptor, KernelFamily,
 def make_graph(tasks: list[dict], objects: dict[str, int],
                host_objects: set[str] | None = None,
                n_processes: int = 4) -> TaskGraph:
-    """Build a graph from dicts: {id, family, flops, br, bw, inputs, outputs}."""
+    """Build a graph from dicts: {id, family, flops, br, bw, inputs, outputs}.
+
+    Tasks keep the given order, so producers must come first.  A task's
+    stage is its id up to the last "_", as in the shipped builder.
+    """
     host_objects = host_objects or set()
     descriptors = []
     for t in tasks:
@@ -19,16 +23,13 @@ def make_graph(tasks: list[dict], objects: dict[str, int],
             flops=t.get("flops", 0.0), bytes_read=t.get("br", 0.0),
             bytes_written=t.get("bw", 0.0),
             inputs=tuple(t.get("inputs", ())),
-            outputs=tuple(t.get("outputs", ()))))
+            outputs=tuple(t.get("outputs", ())),
+            stage=t["id"].rsplit("_", 1)[0]))
     data = {}
     produced = {o for t in tasks for o in t.get("outputs", ())}
     for oid, size in objects.items():
         init = HOST if (oid in host_objects or oid not in produced) else None
         data[oid] = DataObject(oid, size, init)
-    producers = {o: t["id"] for t in tasks for o in t.get("outputs", ())}
-    edges = [(producers[o], t["id"], o)
-             for t in tasks for o in t.get("inputs", ()) if o in producers]
     spec = SystemSpec(n_atoms=1, n_valence=1, n_conduction=1, n_grid=16,
                       n_processes=n_processes)
-    return TaskGraph(tasks=descriptors, data_objects=data, edges=edges,
-                     system=spec)
+    return TaskGraph(tasks=descriptors, data_objects=data, system=spec)

@@ -56,8 +56,8 @@ def leaves(node, hint=ExperimentConfig, path=()):
 
 
 def key_path(path) -> str:
-    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}"
-                   for s in path).lstrip(".")
+    text = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+    return text[1:] if text.startswith(".") else text  # a key may start with "."
 
 
 def set_at(doc, path, value):

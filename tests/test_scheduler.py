@@ -194,7 +194,7 @@ def unpruned_hybrid_plan(graph, cfg) -> Schedule:
     state = _PlanState(graph, cfg, [UnitClass.CPU, UnitClass.NDP_UNIT])
     groups: dict[str, list] = {}
     for tid in graph.topo_order():
-        groups.setdefault(tid.rsplit("_", 1)[0], []).append(graph.task(tid))
+        groups.setdefault(graph.task(tid).stage, []).append(graph.task(tid))
     groups = list(groups.values())
     for gi, members in enumerate(groups):
         best = None

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -64,6 +65,15 @@ def test_unplaced_task_is_schedule_error(cfg, calibrated):
                      calibrated)
 
 
+@pytest.mark.parametrize("unit", [UnitRef.ndp(0, 99), UnitRef.ndp(99, 0)],
+                         ids=["unit", "stack"])
+def test_placement_outside_the_machine_is_domain_error(cfg, calibrated, unit):
+    graph = make_graph([{"id": "t0", "flops": 1.0, "br": 8.0, "bw": 0.0,
+                         "inputs": (), "outputs": ("o",)}], {"o": 8})
+    with pytest.raises(DomainError):
+        simulate(Schedule("manual", {"t0": unit}, []), graph, cfg, calibrated)
+
+
 def test_alltoall_partitions_on_stacks_exchange_over_the_mesh(cfg, calibrated):
     """A partition homed on stack 0 is a stack-0 partition, not a CPU-side one."""
     graph = make_graph(
@@ -122,6 +132,25 @@ def test_conservation_of_transferred_bytes(cfg, calibrated):
                          if ev.kind == "comm" and ev.task_or_object.startswith("s6_"))
     assert timeline_bytes == schedule_bytes + trace_bytes + exchange_bytes
     assert report.transferred_bytes == timeline_bytes
+
+
+def test_simulate_replays_the_schedules_transfers(cfg, calibrated):
+    """simulate moves exactly what the schedule lists, and nothing else."""
+    report, schedule, graph = scenario_report(cfg, calibrated, 16, "hybrid")
+    moved = Counter((ev.task_or_object, ev.unit, ev.bytes)
+                    for ev in report.timeline if ev.kind == "transfer")
+    listed = Counter((f"{t.object_id}->{t.cause_task}",
+                      cfg.links.path(t.src, t.dst).name, t.bytes)
+                     for t in schedule.transfers)
+    assert listed and moved == listed
+    bare = dataclasses.replace(schedule, transfers=[])
+    replay = simulate(bare, graph, cfg, calibrated,
+                      pseudo_mode=PseudoMode.SHARED_BLOCK)
+    assert not [ev for ev in replay.timeline if ev.kind == "transfer"]
+    stray = dataclasses.replace(schedule, transfers=[
+        dataclasses.replace(schedule.transfers[0], cause_task="no_such_task")])
+    with pytest.raises(ScheduleError, match="no_such_task"):
+        simulate(stray, graph, cfg, calibrated)
 
 
 def test_makespan_monotone_in_cxt(cfg, calibrated):

@@ -5,6 +5,7 @@ import pytest
 from ndftsim.errors import ConfigurationError, DomainError
 from ndftsim.workload import (KernelFamily, build_taskgraph, ceil_log2,
                               derive_system, kernel_cost)
+from graphs import make_graph
 from oracles import (face_split_flops_by_execution, fft_flops_by_execution,
                      gemm_flops_by_execution)
 
@@ -124,6 +125,38 @@ def test_topo_order_returns_a_fresh_list(calibrated):
     first.reverse()
     first.append("not_a_task")
     assert graph.topo_order() == expected
+
+
+@pytest.mark.parametrize("tasks, named", [
+    # consumer listed before its producer
+    ([{"id": "b", "inputs": ("x",), "outputs": ("y",)},
+      {"id": "a", "inputs": (), "outputs": ("x",)}], ("b", "x", "a")),
+    # two-task cycle
+    ([{"id": "a", "inputs": ("y",), "outputs": ("x",)},
+      {"id": "b", "inputs": ("x",), "outputs": ("y",)}], ("a", "y", "b")),
+    # self-loop
+    ([{"id": "a", "inputs": ("x",), "outputs": ("x",)}], ("a", "x")),
+], ids=["consumer-first", "cycle", "self-loop"])
+def test_graph_rejects_a_producer_listed_after_its_consumer(tasks, named):
+    objects = {o: 8 for t in tasks for o in t["inputs"] + t["outputs"]}
+    with pytest.raises(DomainError) as err:
+        make_graph(tasks, objects)
+    for name in named:
+        assert f" {name} " in f" {err.value} "
+
+
+def test_task_list_is_the_execution_order(calibrated):
+    """Edges, order and stages are all read off the builder's list."""
+    graph = build_taskgraph(derive_system(16, calibrated), calibrated)
+    ids = [t.id for t in graph.tasks]
+    assert graph.topo_order() == ids
+    position = {tid: i for i, tid in enumerate(ids)}
+    producers = {o: t.id for t in graph.tasks for o in t.outputs}
+    pairs = [(producers[o], t.id, o)
+             for t in graph.tasks for o in t.inputs if o in producers]
+    assert graph.edges == pairs
+    assert all(position[p] < position[c] for p, c, _ in graph.edges)
+    assert all(t.stage == t.id.rsplit("_", 1)[0] for t in graph.tasks)
 
 
 def test_every_object_is_consumed_or_terminal(calibrated):
