@@ -376,9 +376,8 @@ class _PlanState:
 def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedule:
     """List-schedule the graph under a placement policy.
 
-    ``hybrid`` chooses per stage group (consecutive tasks sharing a
-    ``stage``) between the CPU and the NDP fleet; ``cpu_only`` /
-    ``ndp_only`` force one class and serve as the measurement
+    ``hybrid`` chooses per stage group between the CPU and the NDP fleet;
+    ``cpu_only`` / ``ndp_only`` force one class and serve as the measurement
     baselines.  Each class is scored with a one-group lookahead: the best
     finish of the next group on the state the class leaves behind, plus
     the class's own boundary overhead; the lowest (score, -resident input

@@ -89,26 +89,27 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
              ) -> SimulationReport:
     """Run the event model and report makespan, breakdowns, and traffic.
 
-    Tasks run in ``graph.tasks`` order.  The moves are exactly the
+    Tasks run in ``graph.topo_order()``.  The moves are exactly the
     schedule's transfers, replayed in list order, each ready when its
-    object's producer ends (at 0 for a resident object); a transfer for a
-    task not in the graph is a ScheduleError.  A task starts once its unit
-    is free, its inputs' producers have ended and its moves have arrived,
-    and then waits out its boundary handoffs.
+    object's producer ends (at 0 for a resident object); a move of no input
+    of its task, or not from the producer's (or home) location to the
+    task's, is a ScheduleError.  A task starts once its unit is free, its
+    inputs' producers have ended and its moves have arrived, and then waits
+    out its boundary handoffs.
     """
     placements = schedule.placements
     unit_loc: dict[UnitRef, int] = {}
     unit_name: dict[UnitRef, str] = {}
     task_loc: dict[str, int] = {}
-    for t in graph.tasks:
-        u = placements.get(t.id)
+    for tid in graph.topo_order():
+        u = placements.get(tid)
         if not isinstance(u, UnitRef):
-            raise ScheduleError(f"task {t.id} is not placed on a unit: {u!r}")
+            raise ScheduleError(f"task {tid} is not placed on a unit: {u!r}")
         if u not in unit_loc:
             u.check_against(cfg)
             unit_loc[u] = u.location()
             unit_name[u] = str(u)
-        task_loc[t.id] = unit_loc[u]
+        task_loc[tid] = unit_loc[u]
 
     links = cfg.links
     hop = links.hop
@@ -120,10 +121,9 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     transferred = 0
     moves: dict[str, list[Transfer]] = {}
     for move in schedule.transfers:
+        if move.cause_task not in task_loc:
+            raise ScheduleError(f"transfer for unknown task {move.cause_task}")
         moves.setdefault(move.cause_task, []).append(move)
-    stray = moves.keys() - task_loc.keys()
-    if stray:
-        raise ScheduleError(f"transfers for tasks not in the graph: {sorted(stray)}")
     cxt_per_consumer: dict[str, int] = {}
     for _p, consumer, _o in schedule.crossing_edges:
         cxt_per_consumer[consumer] = cxt_per_consumer.get(consumer, 0) + 1
@@ -178,12 +178,20 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             # a resident input has no producer; None is never a task id
             data_ready = max(data_ready, task_end.get(producers.get(oid), 0.0))
         for move in moves.get(tid, ()):
+            oid = move.object_id
+            if oid not in task.inputs:
+                raise ScheduleError(f"task {tid} moves {oid}, not one of its inputs")
+            producer = producers.get(oid)
+            src = (task_loc[producer] if producer is not None
+                   else graph.data_objects[oid].initial_location)
+            if (move.src, move.dst) != (src, u_loc):
+                raise ScheduleError(f"move of {oid} to task {tid} runs {move.src}"
+                                    f"->{move.dst}, the placements give {src}->{u_loc}")
             path = path_of(move.src, move.dst)
-            ready = task_end.get(producers.get(move.object_id), 0.0)
+            ready = task_end.get(producer, 0.0)
             start, end = _occupy(free, path, move.bytes, ready, hop)
             timeline.append(TimelineEvent(
-                start, end, "transfer", path.name, f"{move.object_id}->{tid}",
-                move.bytes))
+                start, end, "transfer", path.name, f"{oid}->{tid}", move.bytes))
             transferred += move.bytes
             if path.kind is PathKind.MESH:
                 comm.inter_stack_bytes += move.bytes

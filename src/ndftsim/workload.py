@@ -211,7 +211,11 @@ class KernelDescriptor:
     bytes_written: float
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    stage: str = ""  # consecutive tasks of one stage are placed as one group
+
+    @property
+    def stage(self) -> str:
+        """The id up to its last "_"; plan() places a run of one stage together."""
+        return self.id.rsplit("_", 1)[0]
 
     @property
     def total_bytes(self) -> float:
@@ -384,8 +388,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
 
     The tasks are listed in execution order, stage by stage: s1 conduction
     groups, s1 valence groups, every s2 face-splitting product, every s3
-    product FFT, then s4 to s7.  Each task's ``stage`` is its id up to the
-    last "_".
+    product FFT, then s4 to s7.
     """
     spec.validate()
     nv, nc, nr, procs = spec.n_valence, spec.n_conduction, spec.n_grid, spec.n_processes
@@ -416,13 +419,12 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     orbital_groups: dict[str, list[tuple[str, int]]] = {"v": [], "c": []}
     for kind, total, groups in (("c", nc, gc), ("v", nv, gv)):
         sizes = _split_even(total, groups)
-        stage = f"s1_fft_orb_{kind}"
         for i, norb in enumerate(sizes):
             raw = add_object(f"orb_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, HOST)
             out = add_object(f"orbhat_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, None)
             fl, br, bw = cost(KernelFamily.FFT, n=nr, count=norb)
             tasks.append(KernelDescriptor(
-                id=f"{stage}_{i:04d}", stage=stage, family=KernelFamily.FFT,
+                id=f"s1_fft_orb_{kind}_{i:04d}", family=KernelFamily.FFT,
                 flops=fl, bytes_read=br, bytes_written=bw,
                 inputs=(raw,), outputs=(out,)))
             orbital_groups[kind].append((out, norb))
@@ -443,13 +445,13 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         prod = add_object(f"prod_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
         fl, br, bw = cost(KernelFamily.FACE_SPLIT, n=nr, count=pairs)
         tasks.append(KernelDescriptor(
-            id=f"s2_face_{idx:04d}", stage="s2_face", family=KernelFamily.FACE_SPLIT,
+            id=f"s2_face_{idx:04d}", family=KernelFamily.FACE_SPLIT,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=(vin, cin), outputs=(prod,)))
         phat = add_object(f"prodhat_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
         fl, br, bw = cost(KernelFamily.FFT, n=nr, count=pairs)
         prod_ffts.append(KernelDescriptor(
-            id=f"s3_fft_prod_{idx:04d}", stage="s3_fft_prod", family=KernelFamily.FFT,
+            id=f"s3_fft_prod_{idx:04d}", family=KernelFamily.FFT,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=(prod,), outputs=(phat,)))
         cell_out.append((phat, pairs))
@@ -479,7 +481,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         if not outs:  # keep every process represented even with no cells
             outs.append((add_object(f"pstate_x{p:04d}", REAL_BYTES, None), 0))
         tasks.append(KernelDescriptor(
-            id=f"s4_pseudo_{p:04d}", stage="s4_pseudo", family=KernelFamily.PSEUDO,
+            id=f"s4_pseudo_{p:04d}", family=KernelFamily.PSEUDO,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=tuple(c[1] for c in cells), outputs=tuple(o for o, _ in outs)))
         pstate.append((outs, p))
@@ -494,7 +496,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         fl, br, bw = cost(KernelFamily.GEMM, m=rows, n=d_resp, k=nr)
         rt = add_object(f"resp_{p:04d}", REAL_BYTES * rows * d_resp, None)
         tasks.append(KernelDescriptor(
-            id=f"s5_gemm_{p:04d}", stage="s5_gemm", family=KernelFamily.GEMM,
+            id=f"s5_gemm_{p:04d}", family=KernelFamily.GEMM,
             flops=fl, bytes_read=br, bytes_written=bw,
             inputs=tuple(o for o, _ in outs), outputs=(rt,)))
         resp_parts.append(rt)
@@ -505,7 +507,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     fl, br, bw = kernel_cost(KernelFamily.ALLTOALL, fixture, payload_bytes=payload)
     response = add_object("response", payload, None)
     tasks.append(KernelDescriptor(
-        id="s6_alltoall", stage="s6", family=KernelFamily.ALLTOALL,
+        id="s6_alltoall", family=KernelFamily.ALLTOALL,
         flops=fl, bytes_read=br, bytes_written=bw,
         inputs=tuple(resp_parts), outputs=(response,)))
 
@@ -513,7 +515,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     fl, br, bw = kernel_cost(KernelFamily.SYEVD, fixture, n=d_resp)
     spectrum = add_object("spectrum", 2 * REAL_BYTES * d_resp, None)
     tasks.append(KernelDescriptor(
-        id="s7_syevd", stage="s7", family=KernelFamily.SYEVD,
+        id="s7_syevd", family=KernelFamily.SYEVD,
         flops=fl, bytes_read=br, bytes_written=bw,
         inputs=(response,), outputs=(spectrum,)))
 

@@ -12,8 +12,7 @@ def make_graph(tasks: list[dict], objects: dict[str, int],
                n_processes: int = 4) -> TaskGraph:
     """Build a graph from dicts: {id, family, flops, br, bw, inputs, outputs}.
 
-    Tasks keep the given order, so producers must come first.  A task's
-    stage is its id up to the last "_", as in the shipped builder.
+    Tasks keep the given order, so producers must come first.
     """
     host_objects = host_objects or set()
     descriptors = []
@@ -23,8 +22,7 @@ def make_graph(tasks: list[dict], objects: dict[str, int],
             flops=t.get("flops", 0.0), bytes_read=t.get("br", 0.0),
             bytes_written=t.get("bw", 0.0),
             inputs=tuple(t.get("inputs", ())),
-            outputs=tuple(t.get("outputs", ())),
-            stage=t["id"].rsplit("_", 1)[0]))
+            outputs=tuple(t.get("outputs", ()))))
     data = {}
     produced = {o for t in tasks for o in t.get("outputs", ())}
     for oid, size in objects.items():

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ndftsim.errors import DomainError, ScheduleError
-from ndftsim.machine import UnitRef
+from ndftsim.machine import CPU_SIDE, UnitRef
 from ndftsim.runtime import PseudoMode
 from ndftsim.scheduler import Schedule, plan, schedule_from_placements
 from ndftsim.simulator import compare, simulate
@@ -147,10 +147,28 @@ def test_simulate_replays_the_schedules_transfers(cfg, calibrated):
     replay = simulate(bare, graph, cfg, calibrated,
                       pseudo_mode=PseudoMode.SHARED_BLOCK)
     assert not [ev for ev in replay.timeline if ev.kind == "transfer"]
-    stray = dataclasses.replace(schedule, transfers=[
-        dataclasses.replace(schedule.transfers[0], cause_task="no_such_task")])
-    with pytest.raises(ScheduleError, match="no_such_task"):
-        simulate(stray, graph, cfg, calibrated)
+    first = schedule.transfers[0]
+    stale = dict(schedule.placements)  # the consumer moved, its moves stayed
+    stale[first.cause_task] = (UnitRef.ndp(0, 0) if first.dst == CPU_SIDE
+                               else UnitRef.cpu())
+    produced = next(t for t in schedule.transfers if t.object_id in graph.producers)
+    moved_producer = dict(schedule.placements)
+    moved_producer[graph.producers[produced.object_id]] = \
+        schedule.placements[produced.cause_task]
+    for bad, match in (
+            (dataclasses.replace(schedule, transfers=[
+                dataclasses.replace(first, cause_task="no_such_task")]),
+             "no_such_task"),
+            (dataclasses.replace(schedule, transfers=[
+                dataclasses.replace(first, dst=first.src)]), "placements give"),
+            (dataclasses.replace(schedule, transfers=[
+                dataclasses.replace(first, object_id="spectrum")]),
+             "moves spectrum, not one of its inputs"),
+            (dataclasses.replace(schedule, placements=stale), "placements give"),
+            (dataclasses.replace(schedule, placements=moved_producer),
+             "placements give")):
+        with pytest.raises(ScheduleError, match=match):
+            simulate(bad, graph, cfg, calibrated)
 
 
 def test_makespan_monotone_in_cxt(cfg, calibrated):

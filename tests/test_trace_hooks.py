@@ -50,6 +50,17 @@ def test_estimate_time_is_called_through_both_modules(monkeypatch, cfg,
     assert calls["ndftsim.simulator.estimate_time"] >= 1
 
 
+def test_simulate_walks_the_graph_through_topo_order(monkeypatch, cfg,
+                                                     calibrated):
+    calls: Counter = Counter()
+    count_calls(monkeypatch, workload.TaskGraph, "topo_order", calls)
+    graph = workload.build_taskgraph(workload.derive_system(16, calibrated),
+                                     calibrated)
+    schedule = scheduler.plan(graph, cfg, policy="hybrid")
+    simulator.simulate(schedule, graph, cfg, calibrated)
+    assert calls["TaskGraph.topo_order"] == 1
+
+
 def test_run_scenario_goes_through_the_traced_names(monkeypatch):
     calls: Counter = Counter()
     for owner, name in ((cli, "derive_system"), (cli, "build_taskgraph"),

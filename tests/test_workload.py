@@ -112,7 +112,6 @@ def test_si64_has_one_syevd_of_dimension_16384(calibrated):
 def test_graph_is_acyclic_and_alltoall_sees_all_partitions(calibrated):
     spec = derive_system(16, calibrated)
     graph = build_taskgraph(spec, calibrated)
-    graph.topo_order()  # raises on cycles
     a2a = [t for t in graph.tasks if t.family is KernelFamily.ALLTOALL]
     assert len(a2a) == 1
     assert len(a2a[0].inputs) == spec.n_processes
@@ -146,7 +145,7 @@ def test_graph_rejects_a_producer_listed_after_its_consumer(tasks, named):
 
 
 def test_task_list_is_the_execution_order(calibrated):
-    """Edges, order and stages are all read off the builder's list."""
+    """Edges and order are read off the builder's list, stage by stage."""
     graph = build_taskgraph(derive_system(16, calibrated), calibrated)
     ids = [t.id for t in graph.tasks]
     assert graph.topo_order() == ids
@@ -156,7 +155,10 @@ def test_task_list_is_the_execution_order(calibrated):
              for t in graph.tasks for o in t.inputs if o in producers]
     assert graph.edges == pairs
     assert all(position[p] < position[c] for p, c, _ in graph.edges)
-    assert all(t.stage == t.id.rsplit("_", 1)[0] for t in graph.tasks)
+    stages = [t.stage for t in graph.tasks]
+    runs = [s for i, s in enumerate(stages) if i == 0 or s != stages[i - 1]]
+    assert runs == ["s1_fft_orb_c", "s1_fft_orb_v", "s2_face", "s3_fft_prod",
+                    "s4_pseudo", "s5_gemm", "s6", "s7"]
 
 
 def test_every_object_is_consumed_or_terminal(calibrated):
