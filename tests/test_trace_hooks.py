@@ -52,11 +52,11 @@ def test_estimate_time_is_called_through_both_modules(monkeypatch, cfg,
 
 def test_simulate_walks_the_graph_through_topo_order(monkeypatch, cfg,
                                                      calibrated):
-    calls: Counter = Counter()
-    count_calls(monkeypatch, workload.TaskGraph, "topo_order", calls)
     graph = workload.build_taskgraph(workload.derive_system(16, calibrated),
                                      calibrated)
     schedule = scheduler.plan(graph, cfg, policy="hybrid")
+    calls: Counter = Counter()
+    count_calls(monkeypatch, workload.TaskGraph, "topo_order", calls)
     simulator.simulate(schedule, graph, cfg, calibrated)
     assert calls["TaskGraph.topo_order"] == 1
 
