@@ -404,10 +404,6 @@ def cmd_run(config_path: str, scenario_filter: str | None,
     """Run the scenario matrix from CONFIG_PATH and emit CSV reports."""
     try:
         config = load_config(config_path)
-        bad = config.validate()
-        if bad:
-            click.echo(f"invalid config: {bad[0]}", err=True)
-            sys.exit(EXIT_BAD_CONFIG)
         if out_dir is not None:
             config.output_dir = Path(out_dir)
         reports = run_experiment(config, scenario_filter=scenario_filter,

@@ -451,11 +451,10 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
 
 @dataclass(frozen=True)
 class PseudoTrace:
-    """Deterministic communication/footprint trace of one cost-mode run."""
+    """Deterministic communication trace of one cost-mode run."""
 
     comm: CommStats
     fetches: tuple[tuple[int, int, int], ...]  # (src stack, dst stack, bytes)
-    footprint_bytes: int
 
 
 def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
@@ -469,12 +468,9 @@ def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
     """
     block_bytes = fixture.pseudo.block_bytes
     procs = spec.n_processes
-    wf_bytes = (spec.n_valence + spec.n_conduction) * 8 * spec.n_grid
     comm = CommStats()
     if mode is PseudoMode.PER_PROCESS_COPY:
-        return PseudoTrace(comm=comm, fetches=(),
-                           footprint_bytes=procs * spec.n_atoms * block_bytes
-                           + wf_bytes)
+        return PseudoTrace(comm=comm, fetches=())
     workers = _worker_units(cfg, procs)
     n_wf = spec.n_valence + spec.n_conduction
     wf_count = [0] * procs
@@ -507,9 +503,7 @@ def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
         comm.inter_stack_messages += len(row_fetches)
         comm.inter_stack_bytes += len(row_fetches) * block_bytes
         comm.requests_served_from_cache += cache_hits
-    return PseudoTrace(comm=comm, fetches=tuple(fetches),
-                       footprint_bytes=spec.n_atoms * block_bytes
-                       + 24 * spec.n_atoms * cfg.total_stacks + wf_bytes)
+    return PseudoTrace(comm=comm, fetches=tuple(fetches))
 
 
 # -- calibrated footprint model ----------------------------------------------

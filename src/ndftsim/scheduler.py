@@ -6,8 +6,9 @@ one of that class's units.  The greedy list scheduler walks the graph's task
 list, which is its execution order, stage by stage and picks, per group, the
 class minimizing completion time plus the boundary-handoff overhead the
 placement creates.  Every cross-location data edge is one transfer; every
-CPU<->NDP data edge additionally charges one context-handoff constant.  The
-simulator replays exactly the transfers a schedule lists.
+CPU<->NDP data edge additionally charges one context-handoff constant.  Both
+follow from the placements alone, through placed_moves, which the simulator
+walks too.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import copy
 import csv
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
-from .machine import (CPU_SIDE, HOST, LOCAL_PATH, MachineConfig, PathKind,
-                      UnitClass, UnitRef)
-from .workload import KernelFamily, TaskGraph
+from .machine import (CPU_SIDE, HOST, LOCAL_PATH, MachineConfig, Path,
+                      PathKind, UnitClass, UnitRef)
+from .workload import KernelDescriptor, KernelFamily, TaskGraph
 
 POLICIES = ("hybrid", "cpu_only", "ndp_only")
 
@@ -36,13 +39,15 @@ class Transfer:
 
     @property
     def crosses_boundary(self) -> bool:
-        """True for CPU<->stack moves of task-produced data.
+        return crosses_boundary(self.src, self.dst)
 
-        Loads of host-resident inputs are staging, not scheduling overhead.
-        """
-        if self.src == HOST:
-            return False
-        return (self.src == CPU_SIDE) != (self.dst == CPU_SIDE)
+
+def crosses_boundary(src: int, dst: int) -> bool:
+    """True for a move between the CPU side and a stack.
+
+    Loads of host-resident inputs are staging, not scheduling overhead.
+    """
+    return src != HOST and (src == CPU_SIDE) != (dst == CPU_SIDE)
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,10 @@ def transfer_cost(n_bytes: float, src: int, dst: int, cfg: MachineConfig) -> flo
 
 
 def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreakdown:
-    """Boundary-handoff cost of a schedule: data transfer plus per-edge constant.
+    """Boundary-handoff cost of a listed schedule: data transfer plus
+    per-edge constant.
 
-    Only CPU<->NDP movements of task-produced data count; stack-to-stack
+    Only CPU<->stack moves count (see crosses_boundary); stack-to-stack
     traffic and host-side staging appear in the simulation timeline but are
     not scheduling overhead.
     """
@@ -107,25 +113,39 @@ def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreak
     return OverheadBreakdown(dt_total=dt, cxt_total=n_cxt * cfg.cxt_s, cxt_count=n_cxt)
 
 
-def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
-                             placements: dict[str, UnitRef],
-                             policy: str = "manual") -> Schedule:
-    """Derive the full schedule (transfers, crossing edges, overhead) from a
-    task->unit map.
+class PlacedInput(NamedTuple):
+    """One input of a placed task: where it comes from and how it arrives."""
 
-    Every data edge whose endpoints differ becomes one transfer, listed in
-    task order and, within a task, in input order; all-to-all tasks exchange
-    partitions in place and stage nothing.  This is the single source of
-    truth for the edge bookkeeping: plan() and the exhaustive oracle both go
-    through it, and simulate() replays the transfers it lists.
+    object_id: str
+    bytes: int
+    producer: str | None  # None for an object read from its home
+    src: int              # the producer's location, or the object's home
+    path: Path | None     # None when the input is already in place
+    crossing: bool        # the move crosses the CPU/NDP boundary
+
+
+def placed_moves(graph: TaskGraph, cfg: MachineConfig,
+                 placements: dict[str, UnitRef],
+                 ) -> Iterator[tuple[KernelDescriptor, UnitRef, int, list[PlacedInput]]]:
+    """Yield (task, unit, location, inputs) for every task, in ``topo_order()``.
+
+    This is the one rule for where data comes from and whether it moves.  An
+    input comes from its producer's location, or else from its object's
+    home; it moves unless it is already in place (same endpoint, or host
+    memory read from the CPU side).  All-to-all tasks exchange their
+    partitions in place, so their inputs never move here.  A move crosses
+    the CPU/NDP boundary by crosses_boundary; each crossing of task-produced
+    data is one handoff.  A task not placed on a UnitRef, or an input with
+    neither a producer nor a home, is a ScheduleError; a unit outside the
+    machine is a DomainError.
     """
-    transfers: list[Transfer] = []
-    crossings: list[tuple[str, str, str]] = []
-    path = cfg.links.path
+    path_of = cfg.links.path
+    producers = graph.producers
+    objects = graph.data_objects
     unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
-    for task in graph.tasks:
-        tid = task.id
+    for tid in graph.topo_order():
+        task = graph.task(tid)
         unit = placements.get(tid)
         if not isinstance(unit, UnitRef):
             raise ScheduleError(f"task {tid} is not placed on a unit: {unit!r}")
@@ -133,23 +153,41 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
             unit.check_against(cfg)
             unit_loc[unit] = unit.location()
         dst = location[tid] = unit_loc[unit]
-        if task.family is KernelFamily.ALLTOALL:
-            continue
+        stages = task.family is not KernelFamily.ALLTOALL
+        inputs = []
         for oid in task.inputs:
-            producer = graph.producers.get(oid)
-            if producer is None:
-                src = graph.data_objects[oid].initial_location
-                if src is None:
-                    raise ScheduleError(f"object {oid} has no producer or home")
-            else:
-                src = location[producer]
-            if src == dst or path(src, dst).kind is PathKind.LOCAL:
-                continue
-            transfers.append(Transfer(
-                object_id=oid, bytes=graph.data_objects[oid].size,
-                src=src, dst=dst, cause_task=tid))
-            if producer is not None and (src == CPU_SIDE) != (dst == CPU_SIDE):
-                crossings.append((producer, tid, oid))
+            producer = producers.get(oid)
+            src = (objects[oid].initial_location if producer is None
+                   else location[producer])
+            if src is None:
+                raise ScheduleError(f"object {oid} has no producer or home")
+            path = path_of(src, dst) if stages and src != dst else LOCAL_PATH
+            moves = path.kind is not PathKind.LOCAL
+            inputs.append(PlacedInput(
+                oid, objects[oid].size, producer, src, path if moves else None,
+                moves and crosses_boundary(src, dst)))
+        yield task, unit, dst, inputs
+
+
+def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
+                             placements: dict[str, UnitRef],
+                             policy: str = "manual") -> Schedule:
+    """Derive the full schedule (transfers, crossing edges, overhead) from a
+    task->unit map.
+
+    Every input that placed_moves moves becomes one transfer, listed in task
+    order and, within a task, in input order.  plan() and the exhaustive
+    oracle both go through here; simulate() walks the placements itself and
+    reads neither list.
+    """
+    transfers: list[Transfer] = []
+    crossings: list[tuple[str, str, str]] = []
+    for task, _unit, dst, inputs in placed_moves(graph, cfg, placements):
+        for oid, n_bytes, producer, src, path, crossing in inputs:
+            if path is not None:
+                transfers.append(Transfer(oid, n_bytes, src, dst, task.id))
+            if crossing and producer is not None:
+                crossings.append((producer, task.id, oid))
     schedule = Schedule(policy=policy, placements=dict(placements),
                         transfers=transfers, crossing_edges=crossings)
     schedule.overhead = scheduling_overhead(schedule, cfg)

@@ -1,10 +1,10 @@
 """Deterministic analytic event simulation of a scheduled task graph.
 
 Tasks run in the graph's list order and each unit serializes its own; the
-schedule's transfers are replayed over the links, which serialize FIFO;
-boundary handoffs stall the receiving unit for the configured constant.  All
-queues drain in a fixed order, so identical inputs give byte-identical
-reports.
+moves their placements imply (scheduler.placed_moves) queue on the links,
+which serialize FIFO; boundary handoffs stall the receiving unit for the
+configured constant.  All queues drain in a fixed order, so identical inputs
+give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .analyzer import estimate_time
-from .errors import DomainError, ScheduleError
-from .machine import (CPU_SIDE, LinkModel, MachineConfig, Path, PathKind,
-                      UnitClass, UnitRef)
+from .errors import DomainError
+from .machine import LinkModel, MachineConfig, Path, PathKind, UnitClass, UnitRef
 from .runtime import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
-from .scheduler import Schedule, Transfer, scheduling_overhead
+from .scheduler import OverheadBreakdown, Schedule, placed_moves
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
 
 
@@ -89,51 +88,32 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
              ) -> SimulationReport:
     """Run the event model and report makespan, breakdowns, and traffic.
 
-    Tasks run in ``graph.topo_order()``.  The moves are exactly the
-    schedule's transfers, replayed in list order, each ready when its
-    object's producer ends (at 0 for a resident object); a move of no input
-    of its task, or not from the producer's (or home) location to the
-    task's, is a ScheduleError.  A task starts once its unit is free, its
-    inputs' producers have ended and its moves have arrived, and then waits
+    Only the schedule's placements and policy are read: the moves, the
+    handoffs and the overhead follow from the placements through
+    placed_moves, so a transfer list that disagrees with them cannot change
+    the run.  Tasks run in ``graph.topo_order()``.  A move is ready when its
+    object's producer ends (at 0 for an object read from its home); a task
+    starts once its unit is free and its inputs have arrived, and then waits
     out its boundary handoffs.
     """
     placements = schedule.placements
-    unit_loc: dict[UnitRef, int] = {}
-    unit_name: dict[UnitRef, str] = {}
-    task_loc: dict[str, int] = {}
-    for tid in graph.topo_order():
-        u = placements.get(tid)
-        if not isinstance(u, UnitRef):
-            raise ScheduleError(f"task {tid} is not placed on a unit: {u!r}")
-        if u not in unit_loc:
-            u.check_against(cfg)
-            unit_loc[u] = u.location()
-            unit_name[u] = str(u)
-        task_loc[tid] = unit_loc[u]
-
     links = cfg.links
     hop = links.hop
     free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
     unit_free: dict[UnitRef, float] = {}
+    unit_name: dict[UnitRef, str] = {}
     timeline: list[TimelineEvent] = []
     busy: dict[UnitRef, dict[KernelFamily, float]] = {}
     comm = CommStats()
     transferred = 0
-    moves: dict[str, list[Transfer]] = {}
-    for move in schedule.transfers:
-        if move.cause_task not in task_loc:
-            raise ScheduleError(f"transfer for unknown task {move.cause_task}")
-        moves.setdefault(move.cause_task, []).append(move)
-    cxt_per_consumer: dict[str, int] = {}
-    for _p, consumer, _o in schedule.crossing_edges:
-        cxt_per_consumer[consumer] = cxt_per_consumer.get(consumer, 0) + 1
 
     # Pseudopotential distribution traffic precedes the update tasks.
     trace = pseudo_cost_trace(graph.system, pseudo_mode, fixture, cfg)
     comm.merge(trace.comm)
     pseudo_gate: dict[int, float] = {}
+    # the walk below raises for a task without a UnitRef placement
     has_ndp_pseudo = any(
-        placements[t.id].cls is UnitClass.NDP_UNIT
+        getattr(placements.get(t.id), "cls", None) is UnitClass.NDP_UNIT
         for t in graph.tasks if t.family is KernelFamily.PSEUDO)
     if has_ndp_pseudo:
         # Fetches run stack to stack, all ready at 0, over mesh routes.  The
@@ -160,45 +140,37 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             timeline.append(TimelineEvent(0.0, end, "comm", name, label, n_bytes))
             transferred += n_bytes
 
-    path_of = links.path
-    producers = graph.producers
     # estimate_time depends only on the unit class and the task's (flops,
     # bytes read, bytes written) shape
     durations: dict[tuple, float] = {}
     task_end: dict[str, float] = {}
-
-    for task in graph.tasks:
+    dt = 0  # summed in the order, and from the int 0, of scheduling_overhead
+    n_handoffs = 0
+    for task, u, u_loc, inputs in placed_moves(graph, cfg, placements):
         tid = task.id
         family = task.family
-        u = placements[tid]
-        u_loc = unit_loc[u]
-        name = unit_name[u]
+        name = unit_name.get(u)
+        if name is None:
+            name = unit_name[u] = str(u)
         data_ready = 0.0
-        for oid in task.inputs:
+        n_cxt = 0
+        for oid, n_bytes, producer, _src, path, crossing in inputs:
             # a resident input has no producer; None is never a task id
-            data_ready = max(data_ready, task_end.get(producers.get(oid), 0.0))
-        for move in moves.get(tid, ()):
-            oid = move.object_id
-            if oid not in task.inputs:
-                raise ScheduleError(f"task {tid} moves {oid}, not one of its inputs")
-            producer = producers.get(oid)
-            src = (task_loc[producer] if producer is not None
-                   else graph.data_objects[oid].initial_location)
-            if (move.src, move.dst) != (src, u_loc):
-                raise ScheduleError(f"move of {oid} to task {tid} runs {move.src}"
-                                    f"->{move.dst}, the placements give {src}->{u_loc}")
-            path = path_of(move.src, move.dst)
-            ready = task_end.get(producer, 0.0)
-            start, end = _occupy(free, path, move.bytes, ready, hop)
-            timeline.append(TimelineEvent(
-                start, end, "transfer", path.name, f"{oid}->{tid}", move.bytes))
-            transferred += move.bytes
-            if path.kind is PathKind.MESH:
-                comm.inter_stack_bytes += move.bytes
-                comm.inter_stack_messages += 1
-            data_ready = max(data_ready, end)
+            arrival = task_end.get(producer, 0.0)
+            if path is not None:
+                start, arrival = _occupy(free, path, n_bytes, arrival, hop)
+                timeline.append(TimelineEvent(
+                    start, arrival, "transfer", path.name, f"{oid}->{tid}", n_bytes))
+                transferred += n_bytes
+                if path.kind is PathKind.MESH:
+                    comm.inter_stack_bytes += n_bytes
+                    comm.inter_stack_messages += 1
+                if crossing:
+                    dt += path.seconds(n_bytes)
+                    n_cxt += producer is not None
+            data_ready = max(data_ready, arrival)
         start = max(unit_free.get(u, 0.0), data_ready)
-        n_cxt = cxt_per_consumer.get(tid, 0)
+        n_handoffs += n_cxt
         if n_cxt and cfg.cxt_s > 0:
             timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
                                           "cxt", name, tid))
@@ -206,8 +178,8 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
             start = max(start, pseudo_gate[u_loc])
         if family is KernelFamily.ALLTOALL:
-            dur, moved = _alltoall_phase(task, graph, task_loc, links, free,
-                                         start, timeline, comm)
+            dur, moved = _alltoall_phase(task, [inp.src for inp in inputs],
+                                         links, free, start, timeline, comm)
             transferred += moved
         else:
             shape = (u.cls, task.flops, task.bytes_read, task.bytes_written)
@@ -228,7 +200,6 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         per_unit = [fams.get(fam, 0.0) for fams in busy.values()]
         if per_unit and max(per_unit) > 0:
             per_family[fam] = max(per_unit)
-    overhead = scheduling_overhead(schedule, cfg)
 
     arch = Arch.CPU if schedule.policy == "cpu_only" else Arch.NDP
     footprints = {
@@ -237,29 +208,23 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     }
     timeline.sort(key=attrgetter("t_start", "t_end", "unit", "task_or_object"))
     return SimulationReport(
-        makespan=makespan, per_family_time=per_family, overhead=overhead,
+        makespan=makespan, per_family_time=per_family,
+        overhead=OverheadBreakdown(dt, n_handoffs * cfg.cxt_s, n_handoffs),
         comm=comm, footprints=footprints, timeline=timeline,
         policy=schedule.policy, transferred_bytes=transferred)
 
 
-def _alltoall_phase(task, graph: TaskGraph, task_loc: dict[str, int],
-                    links: LinkModel, free: list[float], start: float,
+def _alltoall_phase(task, part_locs: list[int], links: LinkModel,
+                    free: list[float], start: float,
                     timeline: list[TimelineEvent], comm: CommStats,
                     ) -> tuple[float, int]:
     """Pairwise partition exchange across the endpoints holding partitions.
 
-    Every ordered partition pair exchanges an equal share of the payload;
-    pieces queue FIFO on the links.  Partition pairs on the same endpoint
-    cost nothing.  Returns (duration, bytes moved).
+    ``part_locs`` holds each input partition's location.  Every ordered
+    partition pair exchanges an equal share of the payload; pieces queue
+    FIFO on the links.  Partition pairs on the same endpoint cost nothing.
+    Returns (duration, bytes moved).
     """
-    part_locs = []
-    for oid in task.inputs:
-        prod = graph.producers.get(oid)
-        if prod is None:
-            loc = graph.data_objects[oid].initial_location
-            part_locs.append(CPU_SIDE if loc is None else loc)
-        else:
-            part_locs.append(task_loc[prod])
     n = len(part_locs)
     if n == 0:
         return 0.0, 0

@@ -195,7 +195,6 @@ def pseudo_cost_trace_reference(spec: SystemSpec, fixture: CalibrationFixture,
     """Shared-block access pattern replayed atom by atom, stack by stack."""
     block_bytes = fixture.pseudo.block_bytes
     procs = spec.n_processes
-    wf_bytes = (spec.n_valence + spec.n_conduction) * 8 * spec.n_grid
     comm = CommStats()
     workers = _worker_units(cfg, procs)
     n_wf = spec.n_valence + spec.n_conduction
@@ -221,9 +220,7 @@ def pseudo_cost_trace_reference(spec: SystemSpec, fixture: CalibrationFixture,
             comm.inter_stack_bytes += block_bytes
             comm.requests_served_from_cache += n_acc - 1
             fetches.append((owner_stack, s, block_bytes))
-    return PseudoTrace(comm=comm, fetches=tuple(fetches),
-                       footprint_bytes=spec.n_atoms * block_bytes
-                       + 24 * spec.n_atoms * cfg.total_stacks + wf_bytes)
+    return PseudoTrace(comm=comm, fetches=tuple(fetches))
 
 
 # -- pseudopotential kernel reference ----------------------------------------

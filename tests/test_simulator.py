@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ndftsim.errors import DomainError, ScheduleError
-from ndftsim.machine import CPU_SIDE, UnitRef
+from ndftsim.machine import UnitRef
 from ndftsim.runtime import PseudoMode
 from ndftsim.scheduler import Schedule, plan, schedule_from_placements
 from ndftsim.simulator import compare, simulate
@@ -134,8 +134,8 @@ def test_conservation_of_transferred_bytes(cfg, calibrated):
     assert report.transferred_bytes == timeline_bytes
 
 
-def test_simulate_replays_the_schedules_transfers(cfg, calibrated):
-    """simulate moves exactly what the schedule lists, and nothing else."""
+def test_simulated_moves_equal_the_schedules_transfers(cfg, calibrated):
+    """simulate moves exactly what schedule_from_placements lists."""
     report, schedule, graph = scenario_report(cfg, calibrated, 16, "hybrid")
     moved = Counter((ev.task_or_object, ev.unit, ev.bytes)
                     for ev in report.timeline if ev.kind == "transfer")
@@ -143,32 +143,42 @@ def test_simulate_replays_the_schedules_transfers(cfg, calibrated):
                       cfg.links.path(t.src, t.dst).name, t.bytes)
                      for t in schedule.transfers)
     assert listed and moved == listed
-    bare = dataclasses.replace(schedule, transfers=[])
-    replay = simulate(bare, graph, cfg, calibrated,
-                      pseudo_mode=PseudoMode.SHARED_BLOCK)
-    assert not [ev for ev in replay.timeline if ev.kind == "transfer"]
-    first = schedule.transfers[0]
-    stale = dict(schedule.placements)  # the consumer moved, its moves stayed
-    stale[first.cause_task] = (UnitRef.ndp(0, 0) if first.dst == CPU_SIDE
-                               else UnitRef.cpu())
-    produced = next(t for t in schedule.transfers if t.object_id in graph.producers)
-    moved_producer = dict(schedule.placements)
-    moved_producer[graph.producers[produced.object_id]] = \
-        schedule.placements[produced.cause_task]
-    for bad, match in (
-            (dataclasses.replace(schedule, transfers=[
-                dataclasses.replace(first, cause_task="no_such_task")]),
-             "no_such_task"),
-            (dataclasses.replace(schedule, transfers=[
-                dataclasses.replace(first, dst=first.src)]), "placements give"),
-            (dataclasses.replace(schedule, transfers=[
-                dataclasses.replace(first, object_id="spectrum")]),
-             "moves spectrum, not one of its inputs"),
-            (dataclasses.replace(schedule, placements=stale), "placements give"),
-            (dataclasses.replace(schedule, placements=moved_producer),
-             "placements give")):
-        with pytest.raises(ScheduleError, match=match):
-            simulate(bad, graph, cfg, calibrated)
+
+
+def test_simulate_derives_the_moves_from_the_placements(cfg, calibrated):
+    """A schedule's transfer lists cannot drop or add a move the placements imply."""
+    spec = derive_system(64, calibrated)
+    graph = build_taskgraph(spec, calibrated)
+    schedule = plan(graph, cfg, policy="hybrid")
+    other = plan(graph, cfg, policy="ndp_only")
+    assert schedule.crossing_edges and other.transfers != schedule.transfers
+    planned = simulate(schedule, graph, cfg, calibrated)
+    assert planned.overhead == schedule.overhead and planned.overhead.total > 0
+
+    def digest(report):  # a failing == on two timelines would diff them in full
+        return hashlib.sha256(report.timeline_csv().encode()).hexdigest()
+
+    for transfers, crossings in (([], []),
+                                 (other.transfers, other.crossing_edges)):
+        run = simulate(dataclasses.replace(schedule, transfers=transfers,
+                                           crossing_edges=crossings),
+                       graph, cfg, calibrated)
+        assert digest(run) == digest(planned)
+        assert run.overhead == planned.overhead
+        assert run.comm == planned.comm
+
+
+def test_alltoall_input_without_producer_or_home_is_schedule_error(
+        cfg, calibrated):
+    graph = make_graph(
+        [{"id": "x", "family": KernelFamily.ALLTOALL, "br": 8.0, "bw": 8.0,
+          "inputs": ("p",), "outputs": ("y",)}], {"p": 8, "y": 8})
+    graph.data_objects["p"] = DataObject("p", 8, None)
+    placements = {"x": UnitRef.ndp(0, 0)}
+    with pytest.raises(ScheduleError, match="p has no producer or home"):
+        schedule_from_placements(graph, cfg, placements)
+    with pytest.raises(ScheduleError, match="p has no producer or home"):
+        simulate(Schedule("manual", placements, []), graph, cfg, calibrated)
 
 
 def test_makespan_monotone_in_cxt(cfg, calibrated):
