@@ -18,7 +18,6 @@ import csv
 import io
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
@@ -113,21 +112,14 @@ def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreak
     return OverheadBreakdown(dt_total=dt, cxt_total=n_cxt * cfg.cxt_s, cxt_count=n_cxt)
 
 
-class PlacedInput(NamedTuple):
-    """One input of a placed task: where it comes from and how it arrives."""
-
-    object_id: str
-    bytes: int
-    producer: str | None  # None for an object read from its home
-    src: int              # the producer's location, or the object's home
-    path: Path | None     # None when the input is already in place
-    crossing: bool        # the move crosses the CPU/NDP boundary
-
-
 def placed_moves(graph: TaskGraph, cfg: MachineConfig,
                  placements: dict[str, UnitRef],
-                 ) -> Iterator[tuple[KernelDescriptor, UnitRef, int, list[PlacedInput]]]:
+                 ) -> Iterator[tuple[KernelDescriptor, UnitRef, int, list[tuple]]]:
     """Yield (task, unit, location, inputs) for every task, in ``topo_order()``.
+
+    ``inputs`` holds one plain tuple per input (a matrix pass builds about
+    450,000): (object id, bytes, producer or None, source location, path or
+    None when already in place, crossing).
 
     This is the one rule for where data comes from and whether it moves.  An
     input comes from its producer's location, or else from its object's
@@ -144,6 +136,8 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
     objects = graph.data_objects
     unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
+    in_place = (None, False)
+    route: dict[tuple[int, int], tuple[Path | None, bool]] = {}  # by (src, dst)
     for tid in graph.topo_order():
         task = graph.task(tid)
         unit = placements.get(tid)
@@ -157,15 +151,19 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
         inputs = []
         for oid in task.inputs:
             producer = producers.get(oid)
-            src = (objects[oid].initial_location if producer is None
-                   else location[producer])
+            obj = objects[oid]
+            src = obj.initial_location if producer is None else location[producer]
             if src is None:
                 raise ScheduleError(f"object {oid} has no producer or home")
-            path = path_of(src, dst) if stages and src != dst else LOCAL_PATH
-            moves = path.kind is not PathKind.LOCAL
-            inputs.append(PlacedInput(
-                oid, objects[oid].size, producer, src, path if moves else None,
-                moves and crosses_boundary(src, dst)))
+            move = in_place
+            if stages and src != dst:
+                move = route.get((src, dst))
+                if move is None:
+                    path = path_of(src, dst)
+                    move = route[(src, dst)] = (
+                        in_place if path.kind is PathKind.LOCAL
+                        else (path, crosses_boundary(src, dst)))
+            inputs.append((oid, obj.size, producer, src) + move)
         yield task, unit, dst, inputs
 
 

@@ -178,7 +178,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
             start = max(start, pseudo_gate[u_loc])
         if family is KernelFamily.ALLTOALL:
-            dur, moved = _alltoall_phase(task, [inp.src for inp in inputs],
+            dur, moved = _alltoall_phase(task, [src for _, _, _, src, _, _ in inputs],
                                          links, free, start, timeline, comm)
             transferred += moved
         else:
