@@ -16,14 +16,15 @@ from enum import Enum
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import click
 import yaml
 
-from .errors import CapacityError, ConfigurationError, NdftError
+from .errors import (CapacityError, ConfigurationError, NdftError, NonNegInt,
+                     PosInt, config_errors)
 from .machine import MachineConfig
-from .runtime import PseudoMode, run_pseudopotential
+from .runtime import PseudoMode, footprint_percentage, run_pseudopotential
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
 from .workload import (FAMILY_KEYS, CalibrationFixture, FamilyCoefficients,
@@ -39,16 +40,20 @@ SHIPPED_SIZES = (16, 32, 64, 128, 256, 1024, 2048)
 
 @dataclass(frozen=True)
 class Scenario:
-    n_atoms: int
+    n_atoms: PosInt
     policy: str = "hybrid"
     pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK
     _: KW_ONLY
-    seed: int  # required: no wall-clock defaults
+    seed: NonNegInt  # required: no wall-clock defaults
     exec_pseudo: bool = False
 
     @property
     def name(self) -> str:
         return f"si{self.n_atoms}_{self.policy}"
+
+    def relation_errors(self, key: str) -> list[str]:
+        return ([] if self.policy in POLICIES
+                else [f"{key}.policy: unknown policy {self.policy!r}"])
 
 
 @dataclass
@@ -61,16 +66,11 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def validate(self) -> list[str]:
-        bad = self.machine.validate()
-        bad.extend(self.fixture.validate())
-        if not self.scenarios:
-            bad.append("scenarios: at least one scenario is required")
-        for i, sc in enumerate(self.scenarios):
-            if sc.n_atoms < 1:
-                bad.append(f"scenarios[{i}].n_atoms: must be >= 1")
-            if sc.policy not in POLICIES:
-                bad.append(f"scenarios[{i}].policy: unknown policy {sc.policy!r}")
-        return bad
+        return config_errors(self, "")
+
+    def relation_errors(self, key: str) -> list[str]:
+        return [] if self.scenarios else [
+            "scenarios: at least one scenario is required"]
 
 
 def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
@@ -128,7 +128,7 @@ def _from_doc(hint, node, key: str, base=None):
     field without a default is required.  Errors name the key path.
     """
     origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # T | None
+    if origin in (UnionType, Union):  # T | None, a Union if T was Annotated
         inner, = (a for a in args if a is not NoneType)
         return None if node is None else _from_doc(inner, node, key)
     if hint in _LEAVES:
@@ -324,7 +324,7 @@ def _scenario_report_csv(scenario: Scenario, report: SimulationReport,
     writer.writerow(["cache_hits", "", report.comm.requests_served_from_cache])
     writer.writerow(["footprint_bytes", "", int(footprint)])
     writer.writerow(["footprint_pct",
-                     repr(100.0 * footprint / machine.hbm.total_capacity), ""])
+                     repr(footprint_percentage(footprint, machine)), ""])
     return out.getvalue()
 
 

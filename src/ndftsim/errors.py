@@ -1,4 +1,19 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the config domain check."""
+
+import operator
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import Annotated, get_args, get_origin, get_type_hints
+
+# A numeric config field declares its domain in its hint, as
+# Annotated[<type>, "<op> <bound>"], and config_errors() checks it.  The
+# shared domains:
+PosInt = Annotated[int, ">= 1"]
+NonNegInt = Annotated[int, ">= 0"]
+PosFloat = Annotated[float, "> 0"]
+NonNegFloat = Annotated[float, ">= 0"]
+
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 class NdftError(Exception):
@@ -24,6 +39,44 @@ class ConfigurationError(NdftError, ValueError):
         """Error for one '<key>: <problem>' line of a validate() list."""
         key, sep, message = line.partition(": ")
         return cls(message, key=key) if sep else cls(line)
+
+
+@cache
+def _domains(cls) -> list:
+    """(field name, document key, domain or None) for each field of cls."""
+    hints = get_type_hints(cls, include_extras=True)
+    out = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        domain = next((h.__metadata__[0] for h in (hint, *get_args(hint))
+                       if get_origin(h) is Annotated), None)
+        out.append((f.name, f.metadata.get("doc_key", f.name), domain))
+    return out
+
+
+def config_errors(value, key: str) -> list[str]:
+    """Every '<key path>: <problem>' line of a config dataclass rooted at key.
+
+    Each leaf outside the domain its hint declares gives '<key path>: must
+    be <domain>'; nested dataclasses, and lists of them, are walked too.
+    The checks that tie fields together stay with their class, as its
+    ``relation_errors(key)``, and run after its fields.
+    """
+    bad = []
+    for name, doc_key, domain in _domains(type(value)):
+        item = getattr(value, name)
+        path = f"{key}.{doc_key}" if key else doc_key
+        if domain is not None:
+            op, bound = domain.split()
+            if item is not None and not _COMPARE[op](item, float(bound)):
+                bad.append(f"{path}: must be {domain}")
+        elif is_dataclass(item):
+            bad += config_errors(item, path)
+        elif isinstance(item, list):  # of dataclasses: the scenarios
+            for i, element in enumerate(item):
+                bad += config_errors(element, f"{path}[{i}]")
+    relations = getattr(value, "relation_errors", None)
+    return bad + relations(key) if relations else bad
 
 
 class CapacityError(NdftError):

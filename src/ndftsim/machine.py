@@ -10,9 +10,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
-from .errors import ConfigurationError, DomainError
+from .errors import (ConfigurationError, DomainError, NonNegFloat, PosFloat,
+                     PosInt, config_errors)
 
 KIB = 1024
 MIB = 1024 ** 2
@@ -41,40 +42,38 @@ CPU_LIKE = (HOST, CPU_SIDE)
 
 @dataclass(frozen=True)
 class CpuSpec:
-    cores: int = 8
-    freq_hz: float = 3e9
-    issue_width: int = 4
-    fma_factor: int = 2          # flops per issue slot (fused multiply-add)
-    link_bandwidth: float = 64e9  # bytes/s between CPU and the stack mesh
-    launch_latency_s: float = 2e-6
+    cores: PosInt = 8
+    freq_hz: PosFloat = 3e9
+    issue_width: PosInt = 4
+    fma_factor: PosInt = 2          # flops per issue slot (fused multiply-add)
+    link_bandwidth: PosFloat = 64e9  # bytes/s between CPU and the stack mesh
+    launch_latency_s: NonNegFloat = 2e-6
 
 
 @dataclass(frozen=True)
 class NdpSpec:
-    stacks_x: int = 4
-    stacks_y: int = 4
-    units_per_stack: int = 8
-    cores_per_unit: int = 2
-    freq_hz: float = 2e9
-    capacity_per_unit: int = 512 * MIB
-    spm_per_core: int = 16 * KIB
-    spm_per_stack: int = 256 * KIB
-    launch_latency_s: float = 1e-6
+    stacks_x: PosInt = 4
+    stacks_y: PosInt = 4
+    units_per_stack: PosInt = 8
+    cores_per_unit: PosInt = 2
+    freq_hz: PosFloat = 2e9
+    capacity_per_unit: PosInt = 512 * MIB
+    spm_per_stack: PosInt = 256 * KIB
+    launch_latency_s: NonNegFloat = 1e-6
 
 
 @dataclass(frozen=True)
 class HbmSpec:
-    channels_per_stack: int = 8
-    bus_width_bits: int = 128
-    rate_hz: float = 1e9
-    ddr_factor: int = 2
-    total_capacity: int = 64 * GIB
+    channels_per_stack: PosInt = 8
+    bus_width_bits: Annotated[int, ">= 8"] = 128
+    rate_hz: PosFloat = 1e9
+    ddr_factor: PosInt = 2
 
 
 @dataclass(frozen=True)
 class MeshSpec:
-    mesh_link_bandwidth: float = 32e9
-    hop_latency_s: float = 100e-9
+    mesh_link_bandwidth: PosFloat = 32e9
+    hop_latency_s: NonNegFloat = 100e-9
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class MachineConfig:
     ndp: NdpSpec = field(default_factory=NdpSpec)
     hbm: HbmSpec = field(default_factory=HbmSpec)
     interconnect: MeshSpec = field(default_factory=MeshSpec)
-    cxt_s: float = 8.0
+    cxt_s: NonNegFloat = 8.0
 
     @property
     def total_stacks(self) -> int:
@@ -105,6 +104,11 @@ class MachineConfig:
     def stack_capacity(self) -> int:
         return self.ndp.units_per_stack * self.ndp.capacity_per_unit
 
+    @property
+    def total_capacity(self) -> int:
+        """NDP memory of the whole machine, fixed by its geometry."""
+        return self.total_stacks * self.stack_capacity
+
     @cached_property
     def links(self) -> "LinkModel":
         """The machine's link model, built once per config."""
@@ -112,41 +116,7 @@ class MachineConfig:
 
     def validate(self) -> list[str]:
         """Return a list of '<key>: <problem>' diagnostics; empty means valid."""
-        bad: list[str] = []
-
-        def check(cond: bool, key: str, msg: str) -> None:
-            if not cond:
-                bad.append(f"{key}: {msg}")
-
-        c, n, h, m = self.cpu, self.ndp, self.hbm, self.interconnect
-        check(c.cores >= 1, "machine.cpu.cores", "must be >= 1")
-        check(c.freq_hz > 0, "machine.cpu.freq_hz", "must be > 0")
-        check(c.issue_width >= 1, "machine.cpu.issue_width", "must be >= 1")
-        check(c.fma_factor >= 1, "machine.cpu.fma_factor", "must be >= 1")
-        check(c.link_bandwidth > 0, "machine.cpu.link_bandwidth", "must be > 0")
-        check(c.launch_latency_s >= 0, "machine.cpu.launch_latency_s", "must be >= 0")
-        check(n.stacks_x >= 1, "machine.ndp.stacks_x", "must be >= 1")
-        check(n.stacks_y >= 1, "machine.ndp.stacks_y", "must be >= 1")
-        check(n.units_per_stack >= 1, "machine.ndp.units_per_stack", "must be >= 1")
-        check(n.cores_per_unit >= 1, "machine.ndp.cores_per_unit", "must be >= 1")
-        check(n.freq_hz > 0, "machine.ndp.freq_hz", "must be > 0")
-        check(n.capacity_per_unit >= 1, "machine.ndp.capacity_per_unit", "must be >= 1")
-        check(n.spm_per_core >= 1, "machine.ndp.spm_per_core", "must be >= 1")
-        check(n.spm_per_stack >= n.spm_per_core, "machine.ndp.spm_per_stack",
-              "must be >= spm_per_core")
-        check(n.launch_latency_s >= 0, "machine.ndp.launch_latency_s", "must be >= 0")
-        check(h.channels_per_stack >= 1, "machine.hbm.channels_per_stack", "must be >= 1")
-        check(h.bus_width_bits >= 8, "machine.hbm.bus_width_bits", "must be >= 8")
-        check(h.rate_hz > 0, "machine.hbm.rate_hz", "must be > 0")
-        check(h.ddr_factor >= 1, "machine.hbm.ddr_factor", "must be >= 1")
-        check(m.mesh_link_bandwidth > 0, "machine.interconnect.mesh_link_bandwidth",
-              "must be > 0")
-        check(m.hop_latency_s >= 0, "machine.interconnect.hop_latency_s", "must be >= 0")
-        check(self.cxt_s >= 0, "machine.cxt_s", "must be >= 0")
-        ndp_total = self.total_stacks * n.units_per_stack * n.capacity_per_unit
-        check(ndp_total == h.total_capacity, "machine.hbm.total_capacity",
-              f"stacks*units*capacity_per_unit = {ndp_total} must equal total_capacity")
-        return bad
+        return config_errors(self, "machine")
 
     def validated(self) -> "MachineConfig":
         bad = self.validate()

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
-                     LocalityError, RangeError, UnknownBlockError)
+                     LocalityError, RangeError, UnknownBlockError,
+                     config_errors)
 from .machine import MachineConfig, UnitClass, UnitRef
 from .workload import CalibrationFixture, HEADER_BYTES, SystemSpec
 
@@ -520,7 +521,7 @@ def footprint_model(system: SystemSize, arch: Arch, mode: PseudoMode,
 
 def footprint_percentage(n_bytes: float, cfg: MachineConfig) -> float:
     """Footprint as percent of total machine memory."""
-    return 100.0 * n_bytes / cfg.hbm.total_capacity
+    return 100.0 * n_bytes / cfg.total_capacity
 
 
 def footprint_for_atoms(n_atoms: int, arch: Arch, mode: PseudoMode,
@@ -533,7 +534,7 @@ def footprint_for_atoms(n_atoms: int, arch: Arch, mode: PseudoMode,
     interpolations between the two calibrated anchor systems.
     """
     fp = fixture.footprint
-    bad = fp.validate()
+    bad = config_errors(fp, "workload.footprint")
     if bad:
         raise ConfigurationError.from_diagnostic(bad[0])
     if n_atoms <= 0:

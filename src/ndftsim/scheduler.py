@@ -252,10 +252,11 @@ class _PlanState:
                 table[t.id] = by_shape[shape]
         # streaming capacity: outputs plus the largest input window must fit
         # in the NDP memory; host memory backs the CPU side
+        capacity = cfg.total_capacity
         self.fits_ndp = {
             t.id: sum(self.size[o] for o in t.outputs)
             + max((self.size[o] for o in t.inputs), default=0)
-            <= cfg.hbm.total_capacity
+            <= capacity
             for t in graph.tasks}
 
     def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":

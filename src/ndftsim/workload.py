@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .errors import ConfigurationError, DomainError
+from .errors import (ConfigurationError, DomainError, NonNegFloat, NonNegInt,
+                     PosFloat, PosInt, config_errors)
 from .machine import GIB
 
 HEADER_BYTES = 32        # shared-block header
@@ -54,23 +56,15 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class FamilyCoefficients:
-    flop_coef: float
-    byte_coef: float
-
-    def validate(self, key: str) -> list[str]:
-        bad = []
-        if self.flop_coef < 0:
-            bad.append(f"{key}.flop_coef: must be >= 0")
-        if self.byte_coef <= 0:
-            bad.append(f"{key}.byte_coef: must be > 0")
-        return bad
+    flop_coef: NonNegFloat
+    byte_coef: PosFloat
 
 
 @dataclass(frozen=True)
 class PseudoParams:
     """Scale of the per-atom pseudopotential payloads used by the cost model."""
 
-    projectors_per_atom: int = 226
+    projectors_per_atom: PosInt = 226
 
     @property
     def block_bytes(self) -> int:
@@ -82,31 +76,20 @@ class PseudoParams:
 class FootprintParams:
     """Two-point calibration of the pseudopotential memory-footprint model."""
 
-    base_small: float = 1.24230769 * GIB
-    per_process_small: float = 0.02490385 * GIB
-    base_large: float = 8.83846154 * GIB
-    per_process_large: float = 0.20673077 * GIB
-    shared_mode_overhead_factor: float = 29.30521739
-    processes_cpu: int = 24
-    processes_ndp: int = 128
-    small_atoms: int = 64
+    base_small: PosFloat = 1.24230769 * GIB
+    per_process_small: PosFloat = 0.02490385 * GIB
+    base_large: PosFloat = 8.83846154 * GIB
+    per_process_large: PosFloat = 0.20673077 * GIB
+    shared_mode_overhead_factor: Annotated[float, ">= 1"] = 29.30521739
+    processes_cpu: PosInt = 24
+    processes_ndp: PosInt = 128
+    small_atoms: PosInt = 64
     large_atoms: int = 1024
 
-    def validate(self) -> list[str]:
-        key = "workload.footprint"
-        bad = []
-        for name in ("base_small", "per_process_small", "base_large", "per_process_large"):
-            if getattr(self, name) <= 0:
-                bad.append(f"{key}.{name}: must be > 0")
-        if self.shared_mode_overhead_factor < 1:
-            bad.append(f"{key}.shared_mode_overhead_factor: must be >= 1")
-        for name in ("processes_cpu", "processes_ndp", "small_atoms"):
-            if getattr(self, name) < 1:
-                bad.append(f"{key}.{name}: must be >= 1")
-        if self.large_atoms <= self.small_atoms:
-            # the two anchors fix the interpolation exponent's denominator
-            bad.append(f"{key}.large_atoms: must be > {key}.small_atoms")
-        return bad
+    def relation_errors(self, key: str) -> list[str]:
+        # the two anchors fix the interpolation exponent's denominator
+        return ([] if self.large_atoms > self.small_atoms
+                else [f"{key}.large_atoms: must be > {key}.small_atoms"])
 
 
 @dataclass(frozen=True)
@@ -120,15 +103,15 @@ class CalibrationFixture:
     check against.
     """
 
-    nv_per_atom: int = 2
-    nc_per_atom: int = 2
-    nr_per_atom: int = 4096
-    processes_cpu: int = 8
-    processes_ndp: int = 128
-    orbital_groups_max: int = 48
+    nv_per_atom: PosInt = 2
+    nc_per_atom: PosInt = 2
+    nr_per_atom: PosInt = 4096
+    processes_cpu: PosInt = 8
+    processes_ndp: PosInt = 128
+    orbital_groups_max: PosInt = 48
     # Response dimension D = min(Nv*Nc, base + per_atom * n_atoms); None = untruncated.
-    response_dim_base: int | None = None
-    response_dim_per_atom: int | None = None
+    response_dim_base: PosInt | None = None
+    response_dim_per_atom: NonNegInt | None = None
     families: dict[str, FamilyCoefficients] = field(default_factory=dict)
     pseudo: PseudoParams = field(default_factory=PseudoParams)
     footprint: FootprintParams = field(default_factory=FootprintParams)
@@ -175,24 +158,14 @@ class CalibrationFixture:
             raise ConfigurationError("missing family coefficients",
                                      key=f"workload.{key}") from None
 
-    def validate(self) -> list[str]:
+    def relation_errors(self, key: str) -> list[str]:
+        """Each family's record, which the document keeps at <key>.<family>."""
         bad = []
-        for name, value in (("nv_per_atom", self.nv_per_atom),
-                            ("nc_per_atom", self.nc_per_atom),
-                            ("nr_per_atom", self.nr_per_atom),
-                            ("processes_cpu", self.processes_cpu),
-                            ("processes_ndp", self.processes_ndp),
-                            ("orbital_groups_max", self.orbital_groups_max)):
-            if value < 1:
-                bad.append(f"workload.{name}: must be >= 1")
-        for key in FAMILY_KEYS:
-            if key not in self.families:
-                bad.append(f"workload.{key}: missing family coefficients")
+        for fam in FAMILY_KEYS:
+            if fam in self.families:
+                bad.extend(config_errors(self.families[fam], f"{key}.{fam}"))
             else:
-                bad.extend(self.families[key].validate(f"workload.{key}"))
-        if self.pseudo.projectors_per_atom < 1:
-            bad.append("workload.pseudo.projectors_per_atom: must be >= 1")
-        bad.extend(self.footprint.validate())
+                bad.append(f"{key}.{fam}: missing family coefficients")
         return bad
 
     def response_dim(self, nv: int, nc: int, n_atoms: int) -> int:

@@ -149,7 +149,6 @@ def test_criterion_4_greedy_within_oracle_bound(calibrated):
         ndp=dataclasses.replace(base.ndp, stacks_x=2, stacks_y=1,
                                 units_per_stack=1,
                                 capacity_per_unit=2 * GIB),
-        hbm=dataclasses.replace(base.hbm, total_capacity=4 * GIB),
         cxt_s=5e-6)
     assert tiny.validate() == []
     units = [UnitRef.cpu(), UnitRef.ndp(0, 0), UnitRef.ndp(1, 0)]

@@ -162,6 +162,17 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     (("workload", "footprint", "processes_ndp"), -3,
      "workload.footprint.processes_ndp"),
     (("workload", "footprint", "base_small"), 0, "workload.footprint.base_small"),
+    # D = min(Nv*Nc, base + per_atom*N) must stay >= 1 for every N >= 1
+    (("workload", "response_dim_base"), -100000, "workload.response_dim_base"),
+    (("workload", "response_dim_per_atom"), -1000000,
+     "workload.response_dim_per_atom"),
+    # derived from the mesh geometry, and read by nothing, respectively
+    (("machine", "hbm", "total_capacity"), 64 * 1024 ** 3,
+     "machine.hbm.total_capacity: unknown field"),
+    (("machine", "ndp", "spm_per_core"), 16384,
+     "machine.ndp.spm_per_core: unknown field"),
+    # numpy seeds only from non-negative integers (--exec-pseudo)
+    (("scenarios", 0, "seed"), -1, "scenarios[0].seed"),
 ])
 def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
                                               value, key):

@@ -16,8 +16,8 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from ndftsim.cli import (EXIT_BAD_CONFIG, ExperimentConfig, config_from_doc,
-                         config_to_doc, default_config, main)
-from ndftsim.errors import ConfigurationError
+                         config_to_doc, default_config, main, run_experiment)
+from ndftsim.errors import CapacityError, ConfigurationError
 from ndftsim.workload import (FAMILY_KEYS, CalibrationFixture,
                               FamilyCoefficients, PseudoParams)
 
@@ -128,6 +128,56 @@ def test_cli_run_with_float_unit_count_exits_2(tmp_path, small_doc):
     assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
     assert "machine.ndp.units_per_stack" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_optional_field_with_a_domain_takes_null(small_doc):
+    # Annotated[int, ...] | None resolves to typing.Union, not types.UnionType
+    small_doc["workload"]["response_dim_base"] = None
+    assert config_from_doc(small_doc).fixture.response_dim_base is None
+
+
+def test_validate_lists_every_violation_in_field_order(small_doc):
+    small_doc["scenarios"][0]["n_atoms"] = 0
+    small_doc["workload"]["footprint"]["base_small"] = -1.0
+    small_doc["workload"]["footprint"]["large_atoms"] = 8
+    small_doc["machine"]["hbm"]["bus_width_bits"] = 4
+    assert config_from_doc(small_doc).validate() == [
+        "machine.hbm.bus_width_bits: must be >= 8",
+        "workload.footprint.base_small: must be > 0",
+        "workload.footprint.large_atoms: must be > workload.footprint.small_atoms",
+        "scenarios[0].n_atoms: must be >= 1"]
+
+
+def si16_hybrid_doc(output_dir) -> dict:
+    doc = config_to_doc(default_config(output_dir))
+    doc["scenarios"] = [sc for sc in doc["scenarios"]
+                        if (sc["n_atoms"], sc["policy"]) == (16, "hybrid")]
+    return doc
+
+
+NUMERIC_LEAVES = [path for path, value, _ in leaves(si16_hybrid_doc("out"))
+                  if isinstance(value, (int, float))
+                  and not isinstance(value, bool)]
+
+
+@pytest.mark.parametrize("path", NUMERIC_LEAVES,
+                         ids=[key_path(p) for p in NUMERIC_LEAVES])
+def test_out_of_domain_value_is_named_or_runs(tmp_path, path):
+    """validate names the key, or the run finishes or reports that it does
+    not fit: never an ok followed by some other error."""
+    for value in (0, -1, -10 ** 6):
+        doc = si16_hybrid_doc(tmp_path / "out")
+        set_at(doc, path, value)
+        config = config_from_doc(doc)
+        bad = config.validate()
+        if bad:
+            assert key_path(path) in {line.partition(": ")[0] for line in bad}, (
+                value, bad)
+            continue
+        try:
+            run_experiment(config)
+        except CapacityError:
+            pass
 
 
 def test_every_field_round_trips_with_non_default_values(tmp_path):

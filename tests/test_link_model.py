@@ -29,10 +29,7 @@ MESHES = [(1, 1), (1, 5), (2, 8), (4, 4), (5, 3)]
 def mesh_config(stacks_x: int, stacks_y: int) -> MachineConfig:
     base = MachineConfig()
     ndp = dataclasses.replace(base.ndp, stacks_x=stacks_x, stacks_y=stacks_y)
-    capacity = stacks_x * stacks_y * ndp.units_per_stack * ndp.capacity_per_unit
-    return dataclasses.replace(
-        base, ndp=ndp,
-        hbm=dataclasses.replace(base.hbm, total_capacity=capacity)).validated()
+    return dataclasses.replace(base, ndp=ndp).validated()
 
 
 CONFIGS = {mesh: mesh_config(*mesh) for mesh in MESHES}

@@ -100,15 +100,8 @@ def test_default_totals(cfg):
     assert cfg.total_stacks == 16
     assert cfg.total_units == 128
     assert cfg.total_units * cfg.ndp.cores_per_unit == 256
-    assert cfg.hbm.total_capacity == 64 * GIB
+    assert cfg.total_capacity == 64 * GIB
     assert cfg.total_stacks * bandwidth(Location.STACK_LOCAL, cfg) == 4.096e12
-
-
-def test_capacity_invariant_checked():
-    cfg = MachineConfig()
-    broken = dataclasses.replace(
-        cfg, hbm=dataclasses.replace(cfg.hbm, total_capacity=32 * GIB))
-    assert any("total_capacity" in d for d in broken.validate())
 
 
 def test_validation_key_paths():

@@ -1,6 +1,9 @@
 import re
 from pathlib import Path
 
+from ndftsim.cli import ExperimentConfig
+from test_config_doc import doc_hints
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -12,3 +15,17 @@ def test_readme_library_example_runs(capsys):
     assert table[1].startswith("label,makespan_s,speedup_vs_cpu,")
     # the 64-atom hybrid run is the shipped ~1.9x point
     assert 1.8 < float(table[3].split(",")[2]) < 2.0
+
+
+def test_config_table_lists_each_section_field():
+    """Each `<section>.*` row of the config table names exactly the fields
+    of that section's dataclass."""
+    rows = re.findall(r"^\| `([\w.]+)\.\*` \| (.*) \|$", README.read_text(), re.M)
+    assert {key for key, _ in rows} == {
+        "machine.cpu", "machine.ndp", "machine.hbm", "machine.interconnect",
+        "workload.footprint"}
+    for key, meaning in rows:
+        cls = ExperimentConfig
+        for name in key.split("."):
+            cls = doc_hints(cls)[name]
+        assert set(re.findall(r"`(\w+)`", meaning)) == set(doc_hints(cls)), key

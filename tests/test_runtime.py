@@ -67,8 +67,7 @@ def test_alloc_capacity_error_when_spill_region_full():
     tiny = dataclasses.replace(
         base,
         ndp=dataclasses.replace(base.ndp, capacity_per_unit=4096,
-                                spm_per_core=64, spm_per_stack=128),
-        hbm=dataclasses.replace(base.hbm, total_capacity=16 * 8 * 4096))
+                                spm_per_stack=128))
     runtime = NdpRuntime(tiny)
     idx, mat = payload(m=80, nr=10 ** 5)  # ~51 KB block > 32 KB stack spill
     with pytest.raises(CapacityError):
@@ -187,8 +186,7 @@ def test_broadcast_single_stack_config_sends_nothing():
     import dataclasses
     base = MachineConfig()
     one = dataclasses.replace(
-        base, ndp=dataclasses.replace(base.ndp, stacks_x=1, stacks_y=1),
-        hbm=dataclasses.replace(base.hbm, total_capacity=8 * 512 * 1024 ** 2))
+        base, ndp=dataclasses.replace(base.ndp, stacks_x=1, stacks_y=1))
     runtime = NdpRuntime(one)
     block = runtime.alloc_shared(payload(), UnitRef.ndp(0, 0))
     runtime.broadcast(block.block_id)
@@ -203,8 +201,7 @@ def small_stacks(stacks_x=4, stacks_y=4, units_per_stack=8,
     ndp = dataclasses.replace(base.ndp, stacks_x=stacks_x, stacks_y=stacks_y,
                               units_per_stack=units_per_stack,
                               capacity_per_unit=stack_bytes // units_per_stack)
-    return dataclasses.replace(base, ndp=ndp, hbm=dataclasses.replace(
-        base.hbm, total_capacity=stacks_x * stacks_y * stack_bytes)).validated()
+    return dataclasses.replace(base, ndp=ndp).validated()
 
 
 def test_failed_remote_read_leaves_the_stack_unchanged():

@@ -262,7 +262,7 @@ def test_unknown_policy_rejected(cfg, calibrated):
 
 
 def test_oversize_task_raises_capacity_error_under_ndp_only(cfg):
-    too_big = 2 * cfg.hbm.total_capacity
+    too_big = 2 * cfg.total_capacity
     graph = make_graph(
         [{"id": "t0", "flops": 1.0, "br": 8.0, "bw": 8.0,
           "inputs": ("x",), "outputs": ("y",)}],
