@@ -4,6 +4,8 @@ classification, cost-aware function-level offloading, and a shared-block
 pseudopotential runtime with hierarchical inter-stack communication.
 """
 
+from importlib import import_module
+
 from .machine import (Location, MachineConfig, UnitClass, UnitRef,
                       attainable_perf, bandwidth, peak_flops, ridge_point)
 from .workload import (CalibrationFixture, KernelDescriptor, KernelFamily,
@@ -14,23 +16,27 @@ from .analyzer import (Boundedness, Classification, TimeEstimate,
 from .scheduler import (OverheadBreakdown, Schedule, plan,
                         schedule_from_placements, scheduling_overhead,
                         transfer_cost)
-from .runtime import (Arch, BlockDirectory, CommStats, MemStats, NdpRuntime,
-                      PseudoMode, SharedBlock, SystemSize, footprint_model,
-                      run_pseudopotential)
+from .costmodel import (Arch, CommStats, PseudoMode, SystemSize,
+                        footprint_model)
 from .simulator import SimulationReport, compare, simulate
 
 __version__ = "0.1.0"
 
 # Resolved on first access (PEP 562): importing cli here would put
-# ndftsim.cli in sys.modules before `python -m ndftsim.cli` runs it.
-_CLI_EXPORTS = ("ExperimentConfig", "default_config", "run_experiment",
-                "validate_config")
+# ndftsim.cli in sys.modules before `python -m ndftsim.cli` runs it, and
+# importing runtime would load numpy, which only the kernel needs.
+_LAZY_EXPORTS = {
+    "ExperimentConfig": "cli", "default_config": "cli",
+    "run_experiment": "cli", "validate_config": "cli",
+    "BlockDirectory": "runtime", "MemStats": "runtime",
+    "NdpRuntime": "runtime", "SharedBlock": "runtime",
+    "run_pseudopotential": "runtime",
+}
 
 
 def __getattr__(name: str):
-    if name in _CLI_EXPORTS:
-        from . import cli
-        return getattr(cli, name)
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(f".{_LAZY_EXPORTS[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -21,14 +21,14 @@ from typing import Union, get_args, get_origin, get_type_hints
 import click
 import yaml
 
+from .costmodel import PseudoMode, footprint_percentage
 from .errors import (CapacityError, ConfigurationError, NdftError, NonNegInt,
                      PosInt, config_errors)
 from .machine import MachineConfig
-from .runtime import PseudoMode, footprint_percentage, run_pseudopotential
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
 from .workload import (FAMILY_KEYS, CalibrationFixture, FamilyCoefficients,
-                       KernelFamily, PseudoParams, build_taskgraph,
+                       KernelFamily, PseudoParams, SystemSpec, build_taskgraph,
                        derive_system)
 
 SEED_ENV = "NDFT_SIM_SEED"
@@ -279,15 +279,15 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
                       pseudo_mode=scenario.pseudo_mode)
     if scenario.exec_pseudo:
         # Numeric verification on a desk-scale replica of the scenario.
-        from .workload import SystemSpec
         mini = SystemSpec(n_atoms=min(scenario.n_atoms, 16),
                           n_valence=8, n_conduction=8, n_grid=2048,
                           n_processes=min(spec.n_processes, 16))
         import numpy as np
-        wf_a, _, _ = run_pseudopotential(mini, PseudoMode.PER_PROCESS_COPY,
-                                         scenario.seed, config.machine)
-        wf_b, _, _ = run_pseudopotential(mini, PseudoMode.SHARED_BLOCK,
-                                         scenario.seed, config.machine)
+        from . import runtime
+        wf_a, _, _ = runtime.run_pseudopotential(
+            mini, PseudoMode.PER_PROCESS_COPY, scenario.seed, config.machine)
+        wf_b, _, _ = runtime.run_pseudopotential(
+            mini, PseudoMode.SHARED_BLOCK, scenario.seed, config.machine)
         if not np.allclose(wf_a, wf_b, rtol=1e-12, atol=0.0):
             raise NdftError(f"pseudopotential modes diverge in {scenario.name}")
     return report
@@ -336,7 +336,11 @@ def run_experiment(config: ExperimentConfig,
     if bad:
         raise ConfigurationError.from_diagnostic(bad[0])
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create {out_dir}: {exc.strerror}",
+                                 key="output_dir") from None
     scenarios = [sc for sc in config.scenarios
                  if scenario_filter is None or scenario_filter in sc.name]
     if not scenarios:
@@ -434,7 +438,11 @@ def cmd_validate(config_path: str) -> None:
 @click.argument("config_path", type=click.Path())
 def cmd_init(config_path: str) -> None:
     """Write the shipped default experiment config to CONFIG_PATH."""
-    write_default_config(config_path)
+    try:
+        write_default_config(config_path)
+    except OSError as exc:
+        click.echo(f"cannot write {config_path}: {exc.strerror}", err=True)
+        sys.exit(EXIT_BAD_CONFIG)
     click.echo(f"wrote {config_path}")
 
 

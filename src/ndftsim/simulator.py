@@ -16,9 +16,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .analyzer import estimate_time
+from .costmodel import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
 from .errors import DomainError
 from .machine import LinkModel, MachineConfig, Path, PathKind, UnitClass, UnitRef
-from .runtime import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
 from .scheduler import OverheadBreakdown, Schedule, placed_moves
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
 

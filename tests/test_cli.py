@@ -197,6 +197,33 @@ def test_cli_run_prints_no_runtime_warning(config_file):
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
+def test_cli_run_output_dir_on_a_file_exits_2(tmp_path):
+    doc = small_matrix_doc(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    proc = cli("run", str(path), "--out", str(taken))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr.startswith("invalid config: output_dir: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    doc["output_dir"] = str(taken)
+    path.write_text(yaml.safe_dump(doc))
+    proc = cli("run", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr.startswith("invalid config: output_dir: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("target", ["missing/x.yaml", "."])
+def test_cli_init_unwritable_path_exits_2(tmp_path, target):
+    path = tmp_path / target
+    proc = cli("init", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr.startswith(f"cannot write {path}: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_cli_capacity_error_exits_3(tmp_path):
     doc = small_matrix_doc(tmp_path)
     doc["scenarios"] = [{"n_atoms": 8192, "policy": "ndp_only",

@@ -7,6 +7,7 @@ without any error.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -74,3 +75,12 @@ def test_run_scenario_goes_through_the_traced_names(monkeypatch):
         "ndftsim.cli.derive_system", "ndftsim.cli.build_taskgraph",
         "ndftsim.cli.plan", "ndftsim.cli.simulate",
         "ndftsim.simulator.pseudo_cost_trace"}
+
+
+def test_exec_pseudo_goes_through_runtime_run_pseudopotential(monkeypatch):
+    calls: Counter = Counter()
+    count_calls(monkeypatch, runtime, "run_pseudopotential", calls)
+    config = cli.default_config()
+    scenario = next(sc for sc in config.scenarios if sc.name == "si16_hybrid")
+    cli.run_scenario(replace(scenario, exec_pseudo=True), config)
+    assert calls["ndftsim.runtime.run_pseudopotential"] == 2  # both modes
