@@ -9,15 +9,14 @@ from importlib import import_module
 from .machine import (Location, MachineConfig, UnitClass, UnitRef,
                       attainable_perf, bandwidth, peak_flops, ridge_point)
 from .workload import (CalibrationFixture, KernelDescriptor, KernelFamily,
-                       SystemSpec, TaskGraph, build_taskgraph, derive_system,
-                       kernel_cost)
+                       PseudoMode, SystemSpec, TaskGraph, build_taskgraph,
+                       derive_system, kernel_cost)
 from .analyzer import (Boundedness, Classification, TimeEstimate,
                        arithmetic_intensity, classify, estimate_time)
 from .scheduler import (OverheadBreakdown, Schedule, plan,
                         schedule_from_placements, scheduling_overhead,
                         transfer_cost)
-from .costmodel import (Arch, CommStats, PseudoMode, SystemSize,
-                        footprint_model)
+from .costmodel import Arch, CommStats, SystemSize, footprint_model
 from .simulator import SimulationReport, compare, simulate
 
 __version__ = "0.1.0"

@@ -22,23 +22,16 @@ class Boundedness(enum.Enum):
     MEMORY_BOUND = "memory_bound"
 
 
-class LimitingTerm(enum.Enum):
-    COMPUTE = "compute"
-    MEMORY = "memory"
-
-
 @dataclass(frozen=True)
 class Classification:
     ai: float
     bound: Boundedness
     ridge_used: float
-    unit_class: UnitClass
 
 
 @dataclass(frozen=True)
 class TimeEstimate:
     seconds: float
-    limiting_term: LimitingTerm
 
 
 def arithmetic_intensity(k: KernelDescriptor) -> float:
@@ -55,7 +48,7 @@ def classify(k: KernelDescriptor, unit_class: UnitClass,
     ai = arithmetic_intensity(k)
     ridge = ridge_point(unit_class, cfg)
     bound = Boundedness.COMPUTE_BOUND if ai >= ridge else Boundedness.MEMORY_BOUND
-    return Classification(ai=ai, bound=bound, ridge_used=ridge, unit_class=unit_class)
+    return Classification(ai=ai, bound=bound, ridge_used=ridge)
 
 
 def estimate_time(k: KernelDescriptor, unit: UnitRef,
@@ -63,10 +56,7 @@ def estimate_time(k: KernelDescriptor, unit: UnitRef,
     """Roofline time of the kernel on one unit, plus its launch latency."""
     compute_s = k.flops / peak_flops(unit.cls, cfg)
     memory_s = (k.bytes_read + k.bytes_written) / unit_bandwidth(unit.cls, cfg)
-    term = LimitingTerm.COMPUTE if compute_s >= memory_s else LimitingTerm.MEMORY
-    return TimeEstimate(
-        seconds=max(compute_s, memory_s) + launch_latency(unit.cls, cfg),
-        limiting_term=term)
+    return TimeEstimate(max(compute_s, memory_s) + launch_latency(unit.cls, cfg))
 
 
 def classification_table(rows: list[tuple[str, str, KernelDescriptor]],

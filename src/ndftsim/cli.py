@@ -273,10 +273,9 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
     context = "cpu" if scenario.policy == "cpu_only" else "ndp"
     spec = derive_system(scenario.n_atoms, config.fixture, context=context)
     graph = build_taskgraph(spec, config.fixture,
-                            pseudo_mode=scenario.pseudo_mode.value)
+                            pseudo_mode=scenario.pseudo_mode)
     schedule = plan(graph, config.machine, policy=scenario.policy)
-    report = simulate(schedule, graph, config.machine, config.fixture,
-                      pseudo_mode=scenario.pseudo_mode)
+    report = simulate(schedule, graph, config.machine, config.fixture)
     if scenario.exec_pseudo:
         # Numeric verification on a desk-scale replica of the scenario.
         mini = SystemSpec(n_atoms=min(scenario.n_atoms, 16),
@@ -295,8 +294,14 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}",
+                                 key="output_dir") from None
 
 
 def _scenario_report_csv(scenario: Scenario, report: SimulationReport,

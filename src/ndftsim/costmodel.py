@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, config_errors
 from .machine import MachineConfig, UnitRef
-from .workload import CalibrationFixture, SystemSpec
-
-
-class PseudoMode(enum.Enum):
-    PER_PROCESS_COPY = "per_process_copy"
-    SHARED_BLOCK = "shared_block"
+from .workload import CalibrationFixture, PseudoMode, SystemSpec
 
 
 class SystemSize(enum.Enum):
@@ -53,6 +48,18 @@ def _worker_units(cfg: MachineConfig, n_processes: int) -> list[UnitRef]:
     return [eligible[p % len(eligible)] for p in range(n_processes)]
 
 
+def reader_stacks(spec: SystemSpec,
+                  workers: list[UnitRef]) -> list[tuple[int, int]]:
+    """(stack, reads per block) for each stack whose processes own
+    wavefunctions, by stack id: process p owns wavefunctions p, p + procs, ..."""
+    n_wf = spec.n_valence + spec.n_conduction
+    reads: dict[int, int] = {}
+    for p in range(min(spec.n_processes, n_wf)):
+        stack = workers[p].location()
+        reads[stack] = reads.get(stack, 0) + len(range(p, n_wf, spec.n_processes))
+    return sorted(reads.items())
+
+
 @dataclass(frozen=True)
 class PseudoTrace:
     """Deterministic communication trace of one cost-mode run."""
@@ -76,17 +83,8 @@ def pseudo_cost_trace(spec: SystemSpec, mode: PseudoMode,
     if mode is PseudoMode.PER_PROCESS_COPY:
         return PseudoTrace(comm=comm, fetches=())
     workers = _worker_units(cfg, procs)
-    n_wf = spec.n_valence + spec.n_conduction
-    wf_count = [0] * procs
-    for w in range(n_wf):
-        wf_count[w % procs] += 1
-    accesses_per_stack: dict[int, int] = {}
-    for p in range(procs):
-        s = workers[p].location()
-        accesses_per_stack[s] = accesses_per_stack.get(s, 0) + wf_count[p]
+    readers = reader_stacks(spec, workers)
     comm.intra_stack_bytes += spec.n_atoms * block_bytes  # distribution writes
-    readers = [(s, n_acc) for s, n_acc in sorted(accesses_per_stack.items())
-               if n_acc > 0]
     # An atom's traffic depends only on its owner stack: every reader stack
     # reads the block locally, and every other stack fetches it once and
     # serves the rest of its reads from its cache.

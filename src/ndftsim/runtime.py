@@ -25,11 +25,11 @@ import numpy as np
 from .costmodel import (Arch, CommStats, PseudoMode, PseudoTrace,
                         SystemSize, _worker_units, footprint_for_atoms,
                         footprint_model, footprint_percentage,
-                        pseudo_cost_trace)
+                        pseudo_cost_trace, reader_stacks)
 from .errors import (CapacityError, DataError, DomainError, LocalityError,
                      RangeError, UnknownBlockError)
 from .machine import MachineConfig, UnitClass, UnitRef
-from .workload import HEADER_BYTES, SystemSpec
+from .workload import HEADER_BYTES, SystemSpec, block_length
 
 log = logging.getLogger("ndftsim.runtime")
 
@@ -51,9 +51,7 @@ class SharedBlock:
     length: int
     spilled: bool = False
 
-    @staticmethod
-    def length_of(n_indices: int, m: int) -> int:
-        return HEADER_BYTES + 4 * n_indices + 8 * m * m
+    length_of = staticmethod(block_length)
 
 
 @dataclass(frozen=True)
@@ -354,12 +352,11 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
     wavefunctions.  In shared-block mode owners pack their atoms into shared
     memory, everyone else resolves addresses through the directory, and all
     access flows through the read_local/read_remote primitives.  The update
-    goes atom by atom: each process that owns wavefunctions reads the block
-    once per wavefunction it owns (one counted request to the arbiter), and
-    the block is decoded once and applied to all wavefunctions with one
-    stacked gemv.  In per-process-copy mode every process keeps a private
-    copy of every block; its wavefunction output is the oracle the shared
-    mode must match.
+    goes atom by atom: each reader stack (reader_stacks) reads the block once
+    per wavefunction its processes own, and the block is decoded once and
+    applied to all wavefunctions with one stacked gemv.  In per-process-copy
+    mode every process keeps a private copy of every block; its wavefunction
+    output is the oracle the shared mode must match.
     """
     spec.validate()
     if spec.n_atoms > 64 or spec.n_grid > 16384:
@@ -390,18 +387,16 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
         blocks.append(block)
 
     spills = sum(1 for b in blocks if b.spilled)
-    # update phase: process p owns wavefunctions p, p + procs, ...
-    n_wf = wfs.shape[0]
-    readers = [(workers[p].location(), len(range(p, n_wf, procs)))
-               for p in range(min(procs, n_wf))]
+    # update phase: every reader stack reads every block
+    readers = reader_stacks(spec, workers)
     for block in blocks:
         payload = None
-        for my_stack, owned in readers:
+        for my_stack, reads in readers:
             if block.owner_stack != my_stack:
                 runtime.read_remote(block.block_id, my_stack, block.owner_stack,
-                                    times=owned)
+                                    times=reads)
             read = runtime.read_local(block, 0, block.length,
-                                      caller_stack=my_stack, times=owned)
+                                      caller_stack=my_stack, times=reads)
             payload = read if payload is None else payload
         _, idx, mat = unpack_block(payload)
         _apply_block(wfs, idx, mat)

@@ -83,9 +83,7 @@ def _occupy(free: list[float], path: Path, n_bytes: float, ready: float,
 
 
 def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
-             fixture: CalibrationFixture,
-             pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK,
-             ) -> SimulationReport:
+             fixture: CalibrationFixture) -> SimulationReport:
     """Run the event model and report makespan, breakdowns, and traffic.
 
     Only the schedule's placements and policy are read: the moves, the
@@ -108,7 +106,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     transferred = 0
 
     # Pseudopotential distribution traffic precedes the update tasks.
-    trace = pseudo_cost_trace(graph.system, pseudo_mode, fixture, cfg)
+    trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
     comm.merge(trace.comm)
     pseudo_gate: dict[int, float] = {}
     # the walk below raises for a task without a UnitRef placement

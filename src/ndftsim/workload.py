@@ -22,6 +22,18 @@ COMPLEX_BYTES = 16       # complex double grid element
 REAL_BYTES = 8
 
 
+class PseudoMode(enum.Enum):
+    """Private pseudopotential copies per process, or one block per atom."""
+
+    PER_PROCESS_COPY = "per_process_copy"
+    SHARED_BLOCK = "shared_block"
+
+
+def block_length(n_indices: int, m: int) -> int:
+    """Bytes of a packed block: header, int32 indices, float64 (m, m) matrix."""
+    return HEADER_BYTES + 4 * n_indices + 8 * m * m
+
+
 class KernelFamily(enum.Enum):
     FFT = "fft"
     FACE_SPLIT = "face_split"
@@ -68,8 +80,7 @@ class PseudoParams:
 
     @property
     def block_bytes(self) -> int:
-        m = self.projectors_per_atom
-        return HEADER_BYTES + 4 * m + 8 * m * m
+        return block_length(self.projectors_per_atom, self.projectors_per_atom)
 
 
 @dataclass(frozen=True)
@@ -204,7 +215,8 @@ class DataObject:
 
 @dataclass
 class TaskGraph:
-    """Tasks in execution order, the data they move, and the system size.
+    """Tasks in execution order, the data they move, the system size, and
+    the pseudopotential mode the graph was built for.
 
     Every task is listed after the producers of its inputs; the planner and
     the simulator walk the list as given.  ``producers`` and ``edges``
@@ -215,6 +227,7 @@ class TaskGraph:
     tasks: list[KernelDescriptor]
     data_objects: dict[str, DataObject]
     system: SystemSpec
+    pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK
     edges: list[tuple[str, str, str]] = field(init=False)
 
     def __post_init__(self):
@@ -351,19 +364,22 @@ def _split_even(total: int, parts: int) -> list[int]:
 
 
 def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
-                    pseudo_mode: str = "shared_block") -> TaskGraph:
+                    pseudo_mode: PseudoMode | str = PseudoMode.SHARED_BLOCK,
+                    ) -> TaskGraph:
     """Build the full pipeline graph for one system.
 
     Orbitals are batched into at most ``orbital_groups_max`` groups per kind
     and the pair space into the corresponding group grid, so task counts stay
-    bounded while total work is preserved.  ``pseudo_mode`` decides whether
-    the pseudopotential tasks carry per-process materialization traffic.
+    bounded while total work is preserved.  ``pseudo_mode``, a PseudoMode or
+    its value, decides whether the pseudopotential tasks carry per-process
+    materialization traffic; the graph records it.
 
     The tasks are listed in execution order, stage by stage: s1 conduction
     groups, s1 valence groups, every s2 face-splitting product, every s3
     product FFT, then s4 to s7.
     """
     spec.validate()
+    pseudo_mode = PseudoMode(pseudo_mode)
     nv, nc, nr, procs = spec.n_valence, spec.n_conduction, spec.n_grid, spec.n_processes
     gv = min(nv, fixture.orbital_groups_max)
     gc = min(nc, fixture.orbital_groups_max)
@@ -440,7 +456,7 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         cells_per_proc[idx % procs].append((idx, cell[0], cell[1]))
     pstate: list[tuple[list[tuple[str, int]], int]] = []  # (cells, process)
     copy_bytes = (spec.n_atoms * fixture.pseudo.block_bytes
-                  if pseudo_mode == "per_process_copy" else 0.0)
+                  if pseudo_mode is PseudoMode.PER_PROCESS_COPY else 0.0)
     for p in range(procs):
         cells = cells_per_proc[p]
         owned = len(range(p, spec.n_atoms, procs))
@@ -492,4 +508,5 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         flops=fl, bytes_read=br, bytes_written=bw,
         inputs=(response,), outputs=(spectrum,)))
 
-    return TaskGraph(tasks=tasks, data_objects=objects, system=spec)
+    return TaskGraph(tasks=tasks, data_objects=objects, system=spec,
+                     pseudo_mode=pseudo_mode)

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ndftsim.analyzer import (Boundedness, LimitingTerm, arithmetic_intensity,
+from ndftsim.analyzer import (Boundedness, arithmetic_intensity,
                               classification_table, classify, estimate_time)
 from ndftsim.errors import DomainError
-from ndftsim.machine import MachineConfig, UnitClass, UnitRef, launch_latency, ridge_point
+from ndftsim.machine import (MachineConfig, UnitClass, UnitRef, launch_latency,
+                             peak_flops, ridge_point, unit_bandwidth)
 from ndftsim.workload import KernelDescriptor, KernelFamily
 
 
@@ -57,7 +58,6 @@ def test_estimate_memory_only_kernel(cfg):
     k = kd(0, 1000, 0)
     est = estimate_time(k, UnitRef.cpu(), cfg)
     assert est.seconds == 1000 / 64e9 + 2e-6
-    assert est.limiting_term is LimitingTerm.MEMORY
 
 
 def test_estimate_fft4096_on_one_ndp_unit(cfg):
@@ -65,7 +65,6 @@ def test_estimate_fft4096_on_one_ndp_unit(cfg):
     est = estimate_time(k, UnitRef.ndp(0, 0), cfg)
     assert est.seconds == pytest.approx(max(245760 / 4e9, 131072 / 32e9) + 1e-6)
     assert est.seconds == pytest.approx(62.44e-6)
-    assert est.limiting_term is LimitingTerm.COMPUTE
 
 
 def test_estimate_fft4096_on_cpu(cfg):
@@ -73,21 +72,22 @@ def test_estimate_fft4096_on_cpu(cfg):
     est = estimate_time(k, UnitRef.cpu(), cfg)
     assert est.seconds == pytest.approx(max(245760 / 192e9, 131072 / 64e9) + 2e-6)
     assert est.seconds == pytest.approx(4.048e-6)
-    assert est.limiting_term is LimitingTerm.MEMORY
 
 
 @given(st.floats(min_value=1.0, max_value=1e15),
        st.floats(min_value=1.0, max_value=1e12),
        st.booleans())
 def test_classification_matches_limiting_term(flops, total_bytes, on_cpu):
-    """Same ridge inequality decides both judgements (latency-free)."""
+    """The estimate is the roofline term the classification names, plus
+    the launch latency: the same ridge inequality decides both."""
     cfg = MachineConfig()
     k = kd(flops, total_bytes / 2, total_bytes / 2)
     cls = UnitClass.CPU if on_cpu else UnitClass.NDP_UNIT
     unit = UnitRef.cpu() if on_cpu else UnitRef.ndp(0, 0)
-    bound = classify(k, cls, cfg).bound
-    term = estimate_time(k, unit, cfg).limiting_term
-    assert (bound is Boundedness.COMPUTE_BOUND) == (term is LimitingTerm.COMPUTE)
+    term = (k.flops / peak_flops(cls, cfg)
+            if classify(k, cls, cfg).bound is Boundedness.COMPUTE_BOUND
+            else k.total_bytes / unit_bandwidth(cls, cfg))
+    assert estimate_time(k, unit, cfg).seconds == term + launch_latency(cls, cfg)
 
 
 @given(st.floats(min_value=1.0, max_value=1e12),

@@ -215,6 +215,23 @@ def test_cli_run_output_dir_on_a_file_exits_2(tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("report", ["summary.csv", "report_si16_hybrid.csv"])
+def test_cli_run_unwritable_report_exits_2(tmp_path, report):
+    """A report path taken by a directory names output_dir and the file,
+    and leaves no .tmp file behind."""
+    doc = small_matrix_doc(tmp_path)
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    proc = cli("run", str(path), "--scenario", "si16_hybrid")
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr.startswith(
+        f"invalid config: output_dir: cannot write {out / report}: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not list(out.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("target", ["missing/x.yaml", "."])
 def test_cli_init_unwritable_path_exits_2(tmp_path, target):
     path = tmp_path / target

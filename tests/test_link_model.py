@@ -86,8 +86,7 @@ def test_fetch_replay_matches_reference(mesh, calibrated):
     fixture = dataclasses.replace(calibrated, orbital_groups_max=16)
     graph = build_taskgraph(derive_system(1024, fixture, context="ndp"),
                             fixture, pseudo_mode="shared_block")
-    report = simulate(plan(graph, cfg, policy="ndp_only"), graph, cfg,
-                      fixture, pseudo_mode=PseudoMode.SHARED_BLOCK)
+    report = simulate(plan(graph, cfg, policy="ndp_only"), graph, cfg, fixture)
     reference = LinksReference(cfg)
     expected = []
     for src, dst, n_bytes in pseudo_cost_trace(

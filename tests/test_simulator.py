@@ -17,8 +17,7 @@ from graphs import make_graph
 def test_empty_schedule_empty_graph(cfg, calibrated):
     graph = make_graph([], {})
     schedule = schedule_from_placements(graph, cfg, {})
-    report = simulate(schedule, graph, cfg, calibrated,
-                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    report = simulate(schedule, graph, cfg, calibrated)
     assert report.makespan == 0.0
     assert report.timeline == []
 
@@ -30,8 +29,7 @@ def test_single_task_pays_transfer_plus_estimate(cfg, calibrated):
         {"x": 10 ** 6, "y": 8})
     unit = UnitRef.ndp(0, 0)
     schedule = schedule_from_placements(graph, cfg, {"t0": unit})
-    report = simulate(schedule, graph, cfg, calibrated,
-                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    report = simulate(schedule, graph, cfg, calibrated)
     expect = (1e6 / 64e9 + 100e-9) + (1e6 / 32e9 + 1e-6)
     assert report.makespan == pytest.approx(expect)
 
@@ -42,14 +40,12 @@ def test_two_independent_tasks_run_in_parallel(cfg, calibrated):
     graph = make_graph(tasks, {"o0": 8, "o1": 8})
     both = schedule_from_placements(
         graph, cfg, {"t0": UnitRef.ndp(0, 0), "t1": UnitRef.ndp(0, 1)})
-    r_par = simulate(both, graph, cfg, calibrated,
-                     pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    r_par = simulate(both, graph, cfg, calibrated)
     single = 4e9 / 4e9 + 1e-6
     assert r_par.makespan == pytest.approx(single)
     same = schedule_from_placements(
         graph, cfg, {"t0": UnitRef.ndp(0, 0), "t1": UnitRef.ndp(0, 0)})
-    r_ser = simulate(same, graph, cfg, calibrated,
-                     pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    r_ser = simulate(same, graph, cfg, calibrated)
     assert r_ser.makespan == pytest.approx(2 * single)
 
 
@@ -83,8 +79,7 @@ def test_alltoall_partitions_on_stacks_exchange_over_the_mesh(cfg, calibrated):
     graph.data_objects["p0"] = DataObject("p0", 10 ** 6, 0)
     graph.data_objects["p5"] = DataObject("p5", 10 ** 6, 5)
     schedule = schedule_from_placements(graph, cfg, {"x": UnitRef.ndp(0, 0)})
-    report = simulate(schedule, graph, cfg, calibrated,
-                      pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    report = simulate(schedule, graph, cfg, calibrated)
     exchanges = sorted((ev.task_or_object, ev.unit, ev.bytes)
                        for ev in report.timeline if ev.kind == "comm")
     assert exchanges == [("x:0->5", "mesh:0,0-1,0", 10 ** 6),
@@ -100,7 +95,7 @@ def scenario_report(cfg, fixture, atoms, policy):
     spec = derive_system(atoms, fixture, context=ctx)
     graph = build_taskgraph(spec, fixture, pseudo_mode=mode.value)
     schedule = plan(graph, cfg, policy=policy)
-    return simulate(schedule, graph, cfg, fixture, pseudo_mode=mode), schedule, graph
+    return simulate(schedule, graph, cfg, fixture), schedule, graph
 
 
 def test_reports_are_deterministic(cfg, calibrated):
@@ -190,8 +185,7 @@ def test_makespan_monotone_in_cxt(cfg, calibrated):
     makespans = []
     for cxt in (0.0, 1.0, 8.0, 20.0):
         hot = cfg.with_cxt(cxt)
-        rep = simulate(schedule, graph, hot, calibrated,
-                       pseudo_mode=PseudoMode.SHARED_BLOCK)
+        rep = simulate(schedule, graph, hot, calibrated)
         makespans.append(rep.makespan)
     assert makespans == sorted(makespans)
 
@@ -258,8 +252,7 @@ def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups, mesh):
     graph = build_taskgraph(derive_system(atoms, fixture, context="ndp"),
                             fixture, pseudo_mode="shared_block")
     schedule = plan(graph, cfg, policy=policy)
-    report = simulate(schedule, graph, cfg, fixture,
-                      pseudo_mode=PseudoMode.SHARED_BLOCK)
+    report = simulate(schedule, graph, cfg, fixture)
     text = (report.timeline_csv() + repr(report.per_family_time)
             + repr(report.comm))
     digest = hashlib.sha256(text.encode()).hexdigest()

@@ -84,3 +84,25 @@ def test_exec_pseudo_goes_through_runtime_run_pseudopotential(monkeypatch):
     scenario = next(sc for sc in config.scenarios if sc.name == "si16_hybrid")
     cli.run_scenario(replace(scenario, exec_pseudo=True), config)
     assert calls["ndftsim.runtime.run_pseudopotential"] == 2  # both modes
+
+
+def test_simulate_passes_the_graphs_mode_to_the_trace(monkeypatch, cfg,
+                                                      calibrated):
+    """perfbench tags runtime.trace_s by the trace's second positional
+    argument, so simulate passes graph.pseudo_mode there."""
+    modes = []
+    original = simulator.pseudo_cost_trace
+
+    def recorded(*args, **kwargs):
+        modes.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "pseudo_cost_trace", recorded)
+    for mode, context, policy in (
+            (workload.PseudoMode.SHARED_BLOCK, "ndp", "hybrid"),
+            (workload.PseudoMode.PER_PROCESS_COPY, "cpu", "cpu_only")):
+        spec = workload.derive_system(16, calibrated, context=context)
+        graph = workload.build_taskgraph(spec, calibrated, pseudo_mode=mode)
+        simulator.simulate(scheduler.plan(graph, cfg, policy=policy), graph,
+                           cfg, calibrated)
+        assert modes.pop() is graph.pseudo_mode is mode

@@ -2,9 +2,11 @@ import cmath
 
 import pytest
 
+import ndftsim
+from ndftsim import costmodel, runtime
 from ndftsim.errors import ConfigurationError, DomainError
-from ndftsim.workload import (KernelFamily, build_taskgraph, ceil_log2,
-                              derive_system, kernel_cost)
+from ndftsim.workload import (KernelFamily, PseudoMode, build_taskgraph,
+                              ceil_log2, derive_system, kernel_cost)
 from graphs import make_graph
 from oracles import (face_split_flops_by_execution, fft_flops_by_execution,
                      gemm_flops_by_execution)
@@ -203,6 +205,24 @@ def test_per_process_copy_mode_adds_write_traffic(calibrated):
     b_private = sum(t.total_bytes for t in private.tasks
                     if t.family is KernelFamily.PSEUDO)
     assert b_private > b_shared
+
+
+def test_graph_carries_its_pseudo_mode(calibrated):
+    """The member and its value build the same graph; anything else raises."""
+    spec = derive_system(16, calibrated)
+    for mode in PseudoMode:
+        by_member = build_taskgraph(spec, calibrated, pseudo_mode=mode)
+        by_value = build_taskgraph(spec, calibrated, pseudo_mode=mode.value)
+        assert by_member.dump_lines() == by_value.dump_lines()
+        assert by_member.pseudo_mode is by_value.pseudo_mode is mode
+    assert build_taskgraph(spec, calibrated).pseudo_mode is PseudoMode.SHARED_BLOCK
+    with pytest.raises(ValueError):
+        build_taskgraph(spec, calibrated, pseudo_mode="per-process-copy")
+
+
+def test_pseudo_mode_is_one_object():
+    assert (costmodel.PseudoMode is runtime.PseudoMode is ndftsim.PseudoMode
+            is PseudoMode)
 
 
 def test_every_kernel_declares_memory_traffic(calibrated):
