@@ -9,13 +9,14 @@ defaults to see where the speedup chain and overhead fractions land.
 """
 
 import argparse
-import dataclasses
+from dataclasses import replace
 
-from ndftsim.cli import default_config, run_scenario
+from ndftsim.cli import ExperimentConfig, default_config, run_scenario
 from ndftsim.workload import FamilyCoefficients
 
 
-def main() -> None:
+def config_from_args(argv: list[str] | None = None) -> ExperimentConfig:
+    """The shipped config with the command line's overrides applied."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fft-byte-coef", type=float, default=None)
     ap.add_argument("--face-byte-coef", type=float, default=None)
@@ -24,27 +25,30 @@ def main() -> None:
                          "(keeps its intensity, moves its time)")
     ap.add_argument("--syevd-byte-coef", type=float, default=None)
     ap.add_argument("--cxt", type=float, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     config = default_config()
     fixture = config.fixture
-    families = dict(fixture.families)
     if args.fft_byte_coef is not None:
-        families["fft"] = FamilyCoefficients(families["fft"].flop_coef,
-                                             args.fft_byte_coef)
+        fixture = replace(fixture, fft=replace(fixture.fft,
+                                               byte_coef=args.fft_byte_coef))
     if args.face_byte_coef is not None:
-        families["face_split"] = FamilyCoefficients(
-            families["face_split"].flop_coef, args.face_byte_coef)
+        fixture = replace(fixture, face_split=replace(
+            fixture.face_split, byte_coef=args.face_byte_coef))
     if args.gemm_scale is not None:
-        families["gemm"] = FamilyCoefficients(2.0 * args.gemm_scale,
-                                              1.0 * args.gemm_scale)
+        fixture = replace(fixture, gemm=FamilyCoefficients(
+            2.0 * args.gemm_scale, 1.0 * args.gemm_scale))
     if args.syevd_byte_coef is not None:
-        families["syevd"] = FamilyCoefficients(families["syevd"].flop_coef,
-                                               args.syevd_byte_coef)
-    config.fixture = dataclasses.replace(fixture, families=families)
+        fixture = replace(fixture, syevd=replace(
+            fixture.syevd, byte_coef=args.syevd_byte_coef))
+    config.fixture = fixture
     if args.cxt is not None:
         config.machine = config.machine.with_cxt(args.cxt)
+    return config
 
+
+def main() -> None:
+    config = config_from_args()
     makespans: dict[tuple[int, str], float] = {}
     overheads: dict[tuple[int, str], float] = {}
     for sc in config.scenarios:

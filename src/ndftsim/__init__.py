@@ -11,8 +11,8 @@ from .machine import (Location, MachineConfig, UnitClass, UnitRef,
 from .workload import (CalibrationFixture, KernelDescriptor, KernelFamily,
                        PseudoMode, SystemSpec, TaskGraph, build_taskgraph,
                        derive_system, kernel_cost)
-from .analyzer import (Boundedness, Classification, TimeEstimate,
-                       arithmetic_intensity, classify, estimate_time)
+from .analyzer import (Boundedness, Classification, arithmetic_intensity,
+                       classify, estimate_time)
 from .scheduler import (OverheadBreakdown, Schedule, plan,
                         schedule_from_placements, scheduling_overhead,
                         transfer_cost)
@@ -43,9 +43,9 @@ __all__ = [
     "Classification", "CommStats", "ExperimentConfig", "KernelDescriptor",
     "KernelFamily", "Location", "MachineConfig", "MemStats", "NdpRuntime",
     "OverheadBreakdown", "PseudoMode", "Schedule", "SharedBlock",
-    "SimulationReport", "SystemSize", "SystemSpec", "TaskGraph",
-    "TimeEstimate", "UnitClass", "UnitRef", "arithmetic_intensity",
-    "attainable_perf", "bandwidth", "build_taskgraph", "classify", "compare",
+    "SimulationReport", "SystemSize", "SystemSpec", "TaskGraph", "UnitClass",
+    "UnitRef", "arithmetic_intensity", "attainable_perf", "bandwidth",
+    "build_taskgraph", "classify", "compare",
     "default_config", "derive_system", "estimate_time", "footprint_model",
     "kernel_cost", "peak_flops", "plan", "ridge_point", "run_experiment",
     "run_pseudopotential", "schedule_from_placements",

@@ -12,8 +12,8 @@ import io
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .machine import (MachineConfig, UnitClass, UnitRef, launch_latency,
-                      peak_flops, ridge_point, unit_bandwidth)
+from .machine import (MachineConfig, UnitClass, launch_latency, peak_flops,
+                      ridge_point, unit_bandwidth)
 from .workload import KernelDescriptor
 
 
@@ -27,11 +27,6 @@ class Classification:
     ai: float
     bound: Boundedness
     ridge_used: float
-
-
-@dataclass(frozen=True)
-class TimeEstimate:
-    seconds: float
 
 
 def arithmetic_intensity(k: KernelDescriptor) -> float:
@@ -51,12 +46,13 @@ def classify(k: KernelDescriptor, unit_class: UnitClass,
     return Classification(ai=ai, bound=bound, ridge_used=ridge)
 
 
-def estimate_time(k: KernelDescriptor, unit: UnitRef,
-                  cfg: MachineConfig) -> TimeEstimate:
-    """Roofline time of the kernel on one unit, plus its launch latency."""
-    compute_s = k.flops / peak_flops(unit.cls, cfg)
-    memory_s = (k.bytes_read + k.bytes_written) / unit_bandwidth(unit.cls, cfg)
-    return TimeEstimate(max(compute_s, memory_s) + launch_latency(unit.cls, cfg))
+def estimate_time(k: KernelDescriptor, cls: UnitClass,
+                  cfg: MachineConfig) -> float:
+    """Roofline seconds of the kernel on a unit of the class, plus its
+    launch latency."""
+    compute_s = k.flops / peak_flops(cls, cfg)
+    memory_s = (k.bytes_read + k.bytes_written) / unit_bandwidth(cls, cfg)
+    return max(compute_s, memory_s) + launch_latency(cls, cfg)
 
 
 def classification_table(rows: list[tuple[str, str, KernelDescriptor]],

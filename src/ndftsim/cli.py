@@ -27,9 +27,8 @@ from .errors import (CapacityError, ConfigurationError, NdftError, NonNegInt,
 from .machine import MachineConfig
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
-from .workload import (FAMILY_KEYS, CalibrationFixture, FamilyCoefficients,
-                       KernelFamily, PseudoParams, SystemSpec, build_taskgraph,
-                       derive_system)
+from .workload import (CalibrationFixture, KernelFamily, SystemSpec,
+                       build_taskgraph, derive_system)
 
 SEED_ENV = "NDFT_SIM_SEED"
 EXIT_BAD_CONFIG = 2
@@ -94,7 +93,6 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
 # A key left out, or a nested node given as null, keeps the value of the base
 # the node is read onto: ExperimentConfig() at the top, the class defaults
 # inside a list.  A null leaf is an error unless its hint is ``T | None``.
-# The one shape of the document's own is the family table.
 
 # leaf type -> (the Python types it accepts, what the error says it must be);
 # bool is an int subclass, so only a bool leaf accepts a bool
@@ -146,8 +144,6 @@ def _from_doc(hint, node, key: str, base=None):
                 key=key) from None
     if node is None and base is not None:
         return base
-    if hint is CalibrationFixture:
-        return _fixture_from_doc(node, key, base)
     if is_dataclass(hint):
         return _dataclass_from_doc(hint, _mapping(node, key), key, base)
     if origin is dict:
@@ -177,32 +173,6 @@ def _dataclass_from_doc(cls, node: dict, key: str, base):
             raise ConfigurationError("required field is missing",
                                      key=_path(key, name))
     return cls(**values)
-
-
-def _fixture_from_doc(node, key: str,
-                      base: CalibrationFixture) -> CalibrationFixture:
-    """The workload node: ``workload.<family>`` is ``families[<family>]``,
-    and ``workload.pseudo`` also carries the PseudoParams fields."""
-    node = dict(_mapping(node, key))
-    records = {fam: node.pop(fam) for fam in FAMILY_KEYS if fam in node}
-    if "families" in node:
-        raise ConfigurationError("unknown field", key=_path(key, "families"))
-    fixture = _dataclass_from_doc(CalibrationFixture, node, key, base)
-    families, pseudo = dict(fixture.families), fixture.pseudo
-    for fam, record in records.items():
-        if record is None:
-            continue
-        record = dict(_mapping(record, _path(key, fam)))
-        if fam == "pseudo":
-            params = {k: record.pop(k) for k in _doc_fields(PseudoParams)
-                      if k in record}
-            pseudo = _from_doc(PseudoParams, params, _path(key, fam), pseudo)
-        # an explicit record must be complete; pseudo's may give only its
-        # PseudoParams and keep the coefficients
-        coefs = families.get(fam) if fam == "pseudo" else None
-        families[fam] = _from_doc(FamilyCoefficients, record, _path(key, fam),
-                                  coefs)
-    return replace(fixture, families=families, pseudo=pseudo)
 
 
 def config_from_doc(doc: dict) -> ExperimentConfig:
@@ -235,20 +205,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def config_to_doc(value):
     """Round-trippable plain-data form of a config (or of any part of it)."""
     if is_dataclass(value):
-        doc = {name: config_to_doc(getattr(value, f.name))
-               for name, (f, _) in _doc_fields(type(value)).items()}
-        if not isinstance(value, CalibrationFixture):
-            return doc
-        # the family table is spelled out per family, pseudo params merged in
-        out: dict = {}
-        for name, node in doc.items():
-            if name == "families":
-                out.update(sorted(node.items()))
-            elif name == "pseudo":
-                out.setdefault(name, {}).update(node)
-            else:
-                out[name] = node
-        return out
+        return {name: config_to_doc(getattr(value, f.name))
+                for name, (f, _) in _doc_fields(type(value)).items()}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Path):

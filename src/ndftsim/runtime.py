@@ -43,11 +43,8 @@ class MemStats:
 @dataclass
 class SharedBlock:
     block_id: int
-    atom_id: int
     owner_stack: int
     address: int
-    index_table: np.ndarray   # int32 projector indices
-    matrix: np.ndarray        # float64 (m, m) coefficients
     length: int
     spilled: bool = False
 
@@ -167,10 +164,8 @@ class NdpRuntime:
         else:
             stack.spm_used += length
         block = SharedBlock(
-            block_id=self._next_block_id, atom_id=-1, owner_stack=owner.stack_id,
-            address=address, index_table=np.asarray(index_table, dtype=np.int32),
-            matrix=np.asarray(matrix, dtype=np.float64), length=length,
-            spilled=spilled)
+            block_id=self._next_block_id, owner_stack=owner.stack_id,
+            address=address, length=length, spilled=spilled)
         self._next_block_id += 1
         self.blocks[block.block_id] = block
         self.storage[block.block_id] = bytearray(length)
@@ -379,7 +374,6 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
     # distribution phase: owners pack their atoms into shared memory
     for a, (idx, mat) in enumerate(atoms):
         block = runtime.alloc_shared((idx, mat), workers[a % procs])
-        block.atom_id = a
         runtime.write_local(block, 0, pack_block(idx, mat, a))
         runtime.directory.register(a, DirectoryEntry(
             owner_stack=block.owner_stack, address=block.address,

@@ -240,7 +240,6 @@ class _PlanState:
                 self.obj_loc[oid] = obj.initial_location
                 self.obj_ready[oid] = 0.0
         self.placements: dict[str, UnitRef] = {}
-        probe = {UnitClass.CPU: self.cpu, UnitClass.NDP_UNIT: UnitRef.ndp(0, 0)}
         self.duration: dict[UnitClass, dict[str, float]] = {}
         for cls in classes:
             by_shape: dict[tuple[float, float, float], float] = {}
@@ -248,7 +247,7 @@ class _PlanState:
             for t in graph.tasks:
                 shape = (t.flops, t.bytes_read, t.bytes_written)
                 if shape not in by_shape:
-                    by_shape[shape] = estimate_time(t, probe[cls], cfg).seconds
+                    by_shape[shape] = estimate_time(t, cls, cfg)
                 table[t.id] = by_shape[shape]
         # streaming capacity: outputs plus the largest input window must fit
         # in the NDP memory; host memory backs the CPU side

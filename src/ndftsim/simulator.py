@@ -105,15 +105,16 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     comm = CommStats()
     transferred = 0
 
-    # Pseudopotential distribution traffic precedes the update tasks.
+    # Pseudopotential distribution traffic precedes the update tasks; it is
+    # replayed and counted only if an update task runs on an NDP unit.
     trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
-    comm.merge(trace.comm)
     pseudo_gate: dict[int, float] = {}
     # the walk below raises for a task without a UnitRef placement
     has_ndp_pseudo = any(
         getattr(placements.get(t.id), "cls", None) is UnitClass.NDP_UNIT
         for t in graph.tasks if t.family is KernelFamily.PSEUDO)
     if has_ndp_pseudo:
+        comm.merge(trace.comm)
         # Fetches run stack to stack, all ready at 0, over mesh routes.  The
         # trace repeats a few (src, dst, bytes) rows, so each row is routed
         # and labelled once.  The replay is _occupy's mesh case, inlined
@@ -183,7 +184,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             shape = (u.cls, task.flops, task.bytes_read, task.bytes_written)
             dur = durations.get(shape)
             if dur is None:
-                dur = durations[shape] = estimate_time(task, u, cfg).seconds
+                dur = durations[shape] = estimate_time(task, u.cls, cfg)
         end = start + dur
         unit_free[u] = end
         fams = busy.setdefault(u, {})

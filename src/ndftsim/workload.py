@@ -13,8 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Annotated
 
-from .errors import (ConfigurationError, DomainError, NonNegFloat, NonNegInt,
-                     PosFloat, PosInt, config_errors)
+from .errors import DomainError, NonNegFloat, NonNegInt, PosFloat, PosInt
 from .machine import GIB
 
 HEADER_BYTES = 32        # shared-block header
@@ -44,11 +43,6 @@ class KernelFamily(enum.Enum):
     OTHER = "other"
 
 
-# Families that carry cost coefficients (every family but OTHER), in the
-# order configs list them.
-FAMILY_KEYS = ("fft", "face_split", "gemm", "alltoall", "syevd", "pseudo")
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     n_atoms: int
@@ -73,8 +67,8 @@ class FamilyCoefficients:
 
 
 @dataclass(frozen=True)
-class PseudoParams:
-    """Scale of the per-atom pseudopotential payloads used by the cost model."""
+class PseudoCoefficients(FamilyCoefficients):
+    """The pseudo family's coefficients and the scale of its per-atom payloads."""
 
     projectors_per_atom: PosInt = 226
 
@@ -109,9 +103,9 @@ class CalibrationFixture:
 
     ``calibrated()`` is the shipped fit used by the scenario matrix; the
     coefficients were tuned so the simulated matrix reproduces the measured
-    speedup trend and overhead fractions.  ``textbook()`` keeps the plain
-    operation-count constants and is what the cost-formula unit oracles
-    check against.
+    speedup trend and overhead fractions.  The class defaults, also named
+    ``textbook()``, keep the plain operation-count constants and are what
+    the cost-formula unit oracles check against.
     """
 
     nv_per_atom: PosInt = 2
@@ -123,36 +117,30 @@ class CalibrationFixture:
     # Response dimension D = min(Nv*Nc, base + per_atom * n_atoms); None = untruncated.
     response_dim_base: PosInt | None = None
     response_dim_per_atom: NonNegInt | None = None
-    families: dict[str, FamilyCoefficients] = field(default_factory=dict)
-    pseudo: PseudoParams = field(default_factory=PseudoParams)
+    # One record per costed family (every KernelFamily but OTHER), named by
+    # its value.
+    alltoall: FamilyCoefficients = FamilyCoefficients(0.0, 1.0)
+    face_split: FamilyCoefficients = FamilyCoefficients(6.0, 1.0)
+    fft: FamilyCoefficients = FamilyCoefficients(5.0, 1.0)
+    gemm: FamilyCoefficients = FamilyCoefficients(2.0, 1.0)
+    pseudo: PseudoCoefficients = PseudoCoefficients(1.0, 1.0)
+    syevd: FamilyCoefficients = FamilyCoefficients(9.0, 4000.0)
     footprint: FootprintParams = field(default_factory=FootprintParams)
     # Regression targets recorded with the fit (speedup vs cpu_only by n_atoms).
     targets: dict[str, float] = field(default_factory=dict)
 
     @staticmethod
     def textbook() -> "CalibrationFixture":
-        return CalibrationFixture(families={
-            "fft": FamilyCoefficients(5.0, 1.0),
-            "face_split": FamilyCoefficients(6.0, 1.0),
-            "gemm": FamilyCoefficients(2.0, 1.0),
-            "alltoall": FamilyCoefficients(0.0, 1.0),
-            "syevd": FamilyCoefficients(9.0, 4000.0),
-            "pseudo": FamilyCoefficients(1.0, 1.0),
-        })
+        return CalibrationFixture()
 
     @staticmethod
     def calibrated() -> "CalibrationFixture":
         return CalibrationFixture(
             response_dim_base=16200,
             response_dim_per_atom=4,
-            families={
-                "fft": FamilyCoefficients(5.0, 52.55),
-                "face_split": FamilyCoefficients(6.0, 25.18),
-                "gemm": FamilyCoefficients(0.25356, 0.12678),
-                "alltoall": FamilyCoefficients(0.0, 1.0),
-                "syevd": FamilyCoefficients(9.0, 4000.0),
-                "pseudo": FamilyCoefficients(1.0, 1.0),
-            },
+            face_split=FamilyCoefficients(6.0, 25.18),
+            fft=FamilyCoefficients(5.0, 52.55),
+            gemm=FamilyCoefficients(0.25356, 0.12678),
             targets={
                 "speedup_si_64": 1.9,
                 "speedup_si_1024": 5.2,
@@ -160,24 +148,6 @@ class CalibrationFixture:
                 "shared_block_reduction": 0.578,
             },
         )
-
-    def family(self, family: KernelFamily | str) -> FamilyCoefficients:
-        key = family.value if isinstance(family, KernelFamily) else family
-        try:
-            return self.families[key]
-        except KeyError:
-            raise ConfigurationError("missing family coefficients",
-                                     key=f"workload.{key}") from None
-
-    def relation_errors(self, key: str) -> list[str]:
-        """Each family's record, which the document keeps at <key>.<family>."""
-        bad = []
-        for fam in FAMILY_KEYS:
-            if fam in self.families:
-                bad.extend(config_errors(self.families[fam], f"{key}.{fam}"))
-            else:
-                bad.append(f"{key}.{fam}: missing family coefficients")
-        return bad
 
     def response_dim(self, nv: int, nc: int, n_atoms: int) -> int:
         full = nv * nc
@@ -309,7 +279,7 @@ def kernel_cost(family: KernelFamily, fixture: CalibrationFixture,
       GEMM(m, n, k) | FFT(n, count=1) | FACE_SPLIT(n, count=1)
       ALLTOALL(payload_bytes) | SYEVD(n) | PSEUDO(wavefunctions, atoms)
     """
-    co = fixture.family(family)
+    co = getattr(fixture, family.value, None)  # None for OTHER, which raises
     if family is KernelFamily.GEMM:
         m, n, k = size["m"], size["n"], size["k"]
         if min(m, n, k) <= 0:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from ndftsim.analyzer import (Boundedness, arithmetic_intensity,
                               classification_table, classify, estimate_time)
 from ndftsim.errors import DomainError
-from ndftsim.machine import (MachineConfig, UnitClass, UnitRef, launch_latency,
+from ndftsim.machine import (MachineConfig, UnitClass, launch_latency,
                              peak_flops, ridge_point, unit_bandwidth)
 from ndftsim.workload import KernelDescriptor, KernelFamily
 
@@ -56,22 +56,21 @@ def test_tie_at_ridge_classifies_compute_bound(cfg):
 
 def test_estimate_memory_only_kernel(cfg):
     k = kd(0, 1000, 0)
-    est = estimate_time(k, UnitRef.cpu(), cfg)
-    assert est.seconds == 1000 / 64e9 + 2e-6
+    assert estimate_time(k, UnitClass.CPU, cfg) == 1000 / 64e9 + 2e-6
 
 
 def test_estimate_fft4096_on_one_ndp_unit(cfg):
     k = kd(245760, 65536, 65536)
-    est = estimate_time(k, UnitRef.ndp(0, 0), cfg)
-    assert est.seconds == pytest.approx(max(245760 / 4e9, 131072 / 32e9) + 1e-6)
-    assert est.seconds == pytest.approx(62.44e-6)
+    est = estimate_time(k, UnitClass.NDP_UNIT, cfg)
+    assert est == pytest.approx(max(245760 / 4e9, 131072 / 32e9) + 1e-6)
+    assert est == pytest.approx(62.44e-6)
 
 
 def test_estimate_fft4096_on_cpu(cfg):
     k = kd(245760, 65536, 65536)
-    est = estimate_time(k, UnitRef.cpu(), cfg)
-    assert est.seconds == pytest.approx(max(245760 / 192e9, 131072 / 64e9) + 2e-6)
-    assert est.seconds == pytest.approx(4.048e-6)
+    est = estimate_time(k, UnitClass.CPU, cfg)
+    assert est == pytest.approx(max(245760 / 192e9, 131072 / 64e9) + 2e-6)
+    assert est == pytest.approx(4.048e-6)
 
 
 @given(st.floats(min_value=1.0, max_value=1e15),
@@ -83,11 +82,10 @@ def test_classification_matches_limiting_term(flops, total_bytes, on_cpu):
     cfg = MachineConfig()
     k = kd(flops, total_bytes / 2, total_bytes / 2)
     cls = UnitClass.CPU if on_cpu else UnitClass.NDP_UNIT
-    unit = UnitRef.cpu() if on_cpu else UnitRef.ndp(0, 0)
     term = (k.flops / peak_flops(cls, cfg)
             if classify(k, cls, cfg).bound is Boundedness.COMPUTE_BOUND
             else k.total_bytes / unit_bandwidth(cls, cfg))
-    assert estimate_time(k, unit, cfg).seconds == term + launch_latency(cls, cfg)
+    assert estimate_time(k, cls, cfg) == term + launch_latency(cls, cfg)
 
 
 @given(st.floats(min_value=1.0, max_value=1e12),
@@ -95,10 +93,10 @@ def test_classification_matches_limiting_term(flops, total_bytes, on_cpu):
        st.integers(min_value=1, max_value=1000))
 def test_estimate_scales_linearly_above_latency(flops, total_bytes, c):
     cfg = MachineConfig()
-    unit = UnitRef.ndp(1, 1)
-    lat = launch_latency(unit.cls, cfg)
-    base = estimate_time(kd(flops, total_bytes, 0), unit, cfg).seconds - lat
-    scaled = estimate_time(kd(c * flops, c * total_bytes, 0), unit, cfg).seconds - lat
+    cls = UnitClass.NDP_UNIT
+    lat = launch_latency(cls, cfg)
+    base = estimate_time(kd(flops, total_bytes, 0), cls, cfg) - lat
+    scaled = estimate_time(kd(c * flops, c * total_bytes, 0), cls, cfg) - lat
     assert scaled == pytest.approx(c * base, rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -9,6 +10,7 @@ from ndftsim.cli import (EXIT_BAD_CONFIG, EXIT_CAPACITY, config_to_doc,
                          default_config, load_config, run_experiment,
                          validate_config, write_default_config)
 from ndftsim.errors import ConfigurationError
+from ndftsim.workload import CalibrationFixture
 
 
 @pytest.fixture()
@@ -45,13 +47,16 @@ def test_zero_bus_width_names_the_key(tmp_path, config_file):
     assert any(d.startswith("machine.hbm.bus_width_bits") for d in diags)
 
 
-def test_partial_family_record_names_missing_key(tmp_path, config_file):
+def test_partial_family_record_keeps_the_shipped_coefficient(config_file):
+    """A family record is read onto the shipped one, like every other node."""
     doc = yaml.safe_load(config_file.read_text())
     del doc["workload"]["syevd"]["byte_coef"]
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(doc))
-    diags = validate_config(bad)
-    assert any("workload.syevd.byte_coef" in d for d in diags)
+    doc["workload"]["syevd"]["flop_coef"] = 7.0
+    config_file.write_text(yaml.safe_dump(doc))
+    shipped = CalibrationFixture.calibrated().syevd
+    assert load_config(config_file).fixture.syevd == replace(shipped,
+                                                             flop_coef=7.0)
+    assert validate_config(config_file) == []
 
 
 def test_empty_scenarios_is_invalid(tmp_path, config_file):

@@ -18,8 +18,7 @@ from hypothesis import (HealthCheck, example, given, settings,
 from ndftsim.cli import (EXIT_BAD_CONFIG, ExperimentConfig, config_from_doc,
                          config_to_doc, default_config, main, run_experiment)
 from ndftsim.errors import CapacityError, ConfigurationError
-from ndftsim.workload import (FAMILY_KEYS, CalibrationFixture,
-                              FamilyCoefficients, PseudoParams)
+from ndftsim.workload import KernelFamily
 
 
 def doc_hints(cls) -> dict:
@@ -28,18 +27,9 @@ def doc_hints(cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
-# workload.<family> holds a family's coefficients; pseudo's also holds
-# the PseudoParams fields
-FAMILY_RECORD = {**doc_hints(FamilyCoefficients), **doc_hints(PseudoParams)}
-
-
 def child_hint(hint, key):
-    if isinstance(hint, dict):
-        return hint[key]
     if get_origin(hint) is dict:
         return get_args(hint)[1]
-    if hint is CalibrationFixture and key in FAMILY_KEYS:
-        return FAMILY_RECORD
     return doc_hints(hint)[key]
 
 
@@ -158,6 +148,16 @@ def si16_hybrid_doc(output_dir) -> dict:
 NUMERIC_LEAVES = [path for path, value, _ in leaves(si16_hybrid_doc("out"))
                   if isinstance(value, (int, float))
                   and not isinstance(value, bool)]
+
+
+def test_the_walker_finds_every_numeric_leaf():
+    # 21 under machine, 2 under scenarios and 34 under workload, 13 of
+    # them in the six family records
+    assert len(NUMERIC_LEAVES) == 57
+    families = {key_path(p[:2]) for p in NUMERIC_LEAVES
+                if p[0] == "workload" and p[-1] == "byte_coef"}
+    assert families == {f"workload.{fam.value}" for fam in KernelFamily
+                        if fam is not KernelFamily.OTHER}
 
 
 @pytest.mark.parametrize("path", NUMERIC_LEAVES,

@@ -342,13 +342,13 @@ def test_trace_counts_match_executable_kernel(cfg):
     """Cost-mode statistics replay the executable kernel exactly when the
     payload scale matches."""
     import dataclasses
-    from ndftsim.workload import PseudoParams
     spec = desk_spec(atoms=8, wf=12, procs=10)
     m = 8
     _, _, comm = run_pseudopotential(spec, PseudoMode.SHARED_BLOCK, 3, cfg,
                                      m_projectors=m)
-    fixture = dataclasses.replace(CalibrationFixture.calibrated(),
-                                  pseudo=PseudoParams(projectors_per_atom=m))
+    calibrated = CalibrationFixture.calibrated()
+    fixture = dataclasses.replace(calibrated, pseudo=dataclasses.replace(
+        calibrated.pseudo, projectors_per_atom=m))
     trace = pseudo_cost_trace(spec, PseudoMode.SHARED_BLOCK, fixture, cfg)
     assert trace.comm.inter_stack_messages == comm.inter_stack_messages
     assert trace.comm.inter_stack_bytes == comm.inter_stack_bytes

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from ndftsim.cli import Scenario, default_config, run_scenario
+from ndftsim.costmodel import CommStats
 from ndftsim.errors import DomainError, ScheduleError
 from ndftsim.machine import UnitRef
 from ndftsim.runtime import PseudoMode
@@ -188,6 +190,15 @@ def test_makespan_monotone_in_cxt(cfg, calibrated):
         rep = simulate(schedule, graph, hot, calibrated)
         makespans.append(rep.makespan)
     assert makespans == sorted(makespans)
+
+
+def test_pseudo_traffic_counts_only_with_an_update_task_on_ndp():
+    """A shared-block graph planned cpu_only replays no fetch, and its
+    distribution traffic is not counted either."""
+    report = run_scenario(Scenario(16, "cpu_only", PseudoMode.SHARED_BLOCK,
+                                   seed=1), default_config())
+    assert report.comm == CommStats()
+    assert not [ev for ev in report.timeline if ev.kind == "comm"]
 
 
 def test_per_family_times_bounded_by_makespan(cfg, calibrated):

@@ -7,12 +7,18 @@ a failure names the property that broke rather than a changed digest.
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ndftsim.machine import MachineConfig
 from ndftsim.scheduler import plan
 from ndftsim.simulator import simulate
-from ndftsim.workload import FAMILY_KEYS, FamilyCoefficients, build_taskgraph
+from ndftsim.workload import (KernelFamily, SystemSpec, TaskGraph,
+                              build_taskgraph)
+from test_scheduler import random_stage_graph, small_cxt_config
 from test_simulator import scenario_report
+
+# the CalibrationFixture field of each costed family
+COSTED = [fam.value for fam in KernelFamily if fam is not KernelFamily.OTHER]
 
 
 def doubled_time(cfg: MachineConfig) -> MachineConfig:
@@ -101,11 +107,10 @@ def test_raising_a_cost_term_never_ends_a_task_earlier(
     base_ends = task_ends(base)
     runs = [(name, graph, hot, calibrated)
             for name, hot in raised_terms(cfg, 1.5)]
-    for fam in FAMILY_KEYS:
-        coefs = calibrated.families[fam]
-        fixture = replace(calibrated, families={
-            **calibrated.families,
-            fam: FamilyCoefficients(coefs.flop_coef, 1.5 * coefs.byte_coef)})
+    for fam in COSTED:
+        coefs = getattr(calibrated, fam)
+        fixture = replace(calibrated, **{
+            fam: replace(coefs, byte_coef=1.5 * coefs.byte_coef)})
         hot_graph = build_taskgraph(graph.system, fixture,
                                     pseudo_mode=graph.pseudo_mode)
         runs.append((f"{fam}.byte_coef", hot_graph, cfg, fixture))
@@ -116,3 +121,62 @@ def test_raising_a_cost_term_never_ends_a_task_earlier(
         assert ends.keys() == base_ends.keys(), name
         earlier = [t for t, end in ends.items() if end < base_ends[t]]
         assert not earlier, (name, earlier[:3])
+
+
+STAGE_FAMILIES = [KernelFamily.OTHER, KernelFamily.PSEUDO,
+                  KernelFamily.ALLTOALL]
+
+
+def raised_traffic(graph: TaskGraph, family: KernelFamily,
+                   factor: float) -> TaskGraph:
+    """The graph with the family's task traffic raised, as its byte_coef
+    would raise it; the task ids do not change."""
+    tasks = [replace(t, bytes_read=factor * t.bytes_read,
+                     bytes_written=factor * t.bytes_written)
+             if t.family is family else t for t in graph.tasks]
+    return TaskGraph(tasks, graph.data_objects, graph.system)
+
+
+@st.composite
+def stage_graphs(draw) -> TaskGraph:
+    """A random stage graph whose stages each run one drawn family, over a
+    drawn system size, so pseudopotential fetches and the all-to-all
+    exchange are in reach too."""
+    graph = random_stage_graph(draw(st.randoms(use_true_random=False)))
+    families = draw(st.lists(st.sampled_from(STAGE_FAMILIES),
+                             min_size=6, max_size=6))
+    tasks = [replace(t, family=families[int(t.stage[1:])])
+             for t in graph.tasks]
+    count = st.integers(min_value=1, max_value=24)
+    system = SystemSpec(n_atoms=draw(count), n_valence=draw(count),
+                        n_conduction=draw(count), n_grid=16,
+                        n_processes=draw(count))
+    return TaskGraph(tasks, graph.data_objects, system)
+
+
+TERMS = [name for name, _ in raised_terms(MachineConfig(), 1.0)] + STAGE_FAMILIES
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph=stage_graphs(), term=st.sampled_from(TERMS),
+       factor=st.floats(min_value=1.0, max_value=16.0),
+       cxt=st.sampled_from([0.0, 5e-6, 1e-3]),
+       policy=st.sampled_from(["hybrid", "ndp_only"]))
+def test_raising_a_drawn_cost_term_never_ends_a_task_earlier(
+        calibrated, graph, term, factor, cxt, policy):
+    """Monotonicity under fixed placements, for a drawn term, factor and
+    graph; a family term raises the traffic of that family's tasks."""
+    cfg = small_cxt_config(cxt)
+    schedule = plan(graph, cfg, policy=policy)
+    base = simulate(schedule, graph, cfg, calibrated)
+    if isinstance(term, KernelFamily):
+        hot_graph, hot_cfg = raised_traffic(graph, term, factor), cfg
+    else:
+        hot_graph, hot_cfg = graph, dict(raised_terms(cfg, factor))[term]
+    report = simulate(schedule, hot_graph, hot_cfg, calibrated)
+    assert report.makespan >= base.makespan
+    base_ends = task_ends(base)
+    ends = task_ends(report)
+    assert ends.keys() == base_ends.keys()
+    assert not [t for t, end in ends.items() if end < base_ends[t]]

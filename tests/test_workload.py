@@ -4,7 +4,7 @@ import pytest
 
 import ndftsim
 from ndftsim import costmodel, runtime
-from ndftsim.errors import ConfigurationError, DomainError
+from ndftsim.errors import DomainError
 from ndftsim.workload import (KernelFamily, PseudoMode, build_taskgraph,
                               ceil_log2, derive_system, kernel_cost)
 from graphs import make_graph
@@ -80,14 +80,9 @@ def test_alltoall_and_syevd_forms(textbook):
     assert br + bw == 4000.0 * 16 ** 2 * 4
 
 
-def test_missing_family_names_the_key(textbook):
-    import dataclasses
-    broken = dataclasses.replace(
-        textbook, families={k: v for k, v in textbook.families.items()
-                            if k != "syevd"})
-    with pytest.raises(ConfigurationError) as err:
-        kernel_cost(KernelFamily.SYEVD, broken, n=4)
-    assert "syevd" in str(err.value)
+def test_other_family_has_no_cost_formula(textbook):
+    with pytest.raises(DomainError, match="no cost formula"):
+        kernel_cost(KernelFamily.OTHER, textbook, n=4)
 
 
 # -- task graph construction ---------------------------------------------------
