@@ -145,6 +145,9 @@ class UnitRef:
                 raise DomainError("NDP unit needs stack_id and unit_id")
         object.__setattr__(self, "_hash",
                            hash((self.cls, self.stack_id, self.unit_id)))
+        object.__setattr__(self, "_location",
+                           CPU_SIDE if self.cls is UnitClass.CPU
+                           else int(self.stack_id))
 
     def __hash__(self) -> int:  # hot path: precomputed at construction
         return self._hash
@@ -157,9 +160,9 @@ class UnitRef:
     def ndp(stack_id: int, unit_id: int) -> "UnitRef":
         return UnitRef(UnitClass.NDP_UNIT, stack_id, unit_id)
 
-    def location(self) -> int:
+    def location(self) -> int:  # hot path: precomputed at construction
         """Transfer endpoint this unit reads/writes: CPU_SIDE or its stack id."""
-        return CPU_SIDE if self.cls is UnitClass.CPU else int(self.stack_id)
+        return self._location
 
     def check_against(self, cfg: MachineConfig) -> None:
         if self.cls is UnitClass.NDP_UNIT:

@@ -60,14 +60,50 @@ class OverheadBreakdown:
         return self.dt_total + self.cxt_total
 
 
+_DERIVED = ("transfers", "crossing_edges", "overhead")
+
+
 @dataclass
 class Schedule:
+    """A task->unit map, and the moves and handoffs it implies.
+
+    A hand-built schedule states its lists (``overhead`` stays None unless
+    given).  A planned one derives ``transfers``, ``crossing_edges`` and
+    ``overhead`` on first read, as schedule_from_placements would, from the
+    graph and machine it was planned on.  simulate() reads none of the
+    three, only ``placements`` and ``policy``.
+    """
+
     policy: str
     placements: dict[str, UnitRef]
     transfers: list[Transfer]
     # Cross-boundary producer->consumer edges; each charges one CXT.
     crossing_edges: list[tuple[str, str, str]] = field(default_factory=list)
-    overhead: OverheadBreakdown | None = None
+    # a factory, not a plain default: a class attribute would answer a
+    # planned schedule's first read before __getattr__ derives it
+    overhead: OverheadBreakdown | None = field(default_factory=lambda: None)
+
+    @classmethod
+    def _deferred(cls, policy: str, placements: dict[str, UnitRef],
+                  graph: TaskGraph, cfg: MachineConfig) -> "Schedule":
+        """A schedule whose derived fields are left to __getattr__."""
+        schedule = cls.__new__(cls)
+        schedule.policy = policy
+        schedule.placements = placements
+        schedule._source = (graph, cfg)
+        return schedule
+
+    def __getattr__(self, name: str):
+        # reached only for a derived field a planned schedule has not set
+        source = self.__dict__.get("_source") if name in _DERIVED else None
+        if source is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        full = schedule_from_placements(*source, self.placements, self.policy)
+        for derived in _DERIVED:
+            self.__dict__.setdefault(derived, getattr(full, derived))
+        del self.__dict__["_source"]
+        return self.__dict__[name]
 
     def to_csv(self, graph: TaskGraph) -> str:
         """One row per task; the start_estimate_s column is kept empty."""
@@ -174,9 +210,9 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
     task->unit map.
 
     Every input that placed_moves moves becomes one transfer, listed in task
-    order and, within a task, in input order.  plan() and the exhaustive
-    oracle both go through here; simulate() walks the placements itself and
-    reads neither list.
+    order and, within a task, in input order.  A planned schedule's first
+    read of a derived field and the exhaustive oracle go through here;
+    simulate() walks the placements itself and reads neither list.
     """
     transfers: list[Transfer] = []
     crossings: list[tuple[str, str, str]] = []
@@ -423,6 +459,10 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     above the best full rank, which no later class can beat.  The winner's
     lookahead evaluations are reused as the next group's own evaluations,
     since committing the winner yields exactly the snapshot they ran on.
+
+    The schedule lists its transfers, crossing edges and overhead only when
+    one of them is first read, so a plan that goes straight to simulate()
+    walks the placements once, there.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -473,4 +513,4 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
         _, chosen, evaluations = best
         state.commit(members, chosen)
 
-    return schedule_from_placements(graph, cfg, state.placements, policy=policy)
+    return Schedule._deferred(policy, state.placements, graph, cfg)

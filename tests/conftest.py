@@ -1,8 +1,16 @@
 import pytest
 
+from ndftsim import cli
 from ndftsim.cli import default_config, run_experiment
 from ndftsim.machine import MachineConfig
 from ndftsim.workload import CalibrationFixture
+
+
+@pytest.fixture(autouse=True)
+def no_reused_graph(monkeypatch):
+    """Each test starts with run_scenario's graph slot empty, so whether its
+    first run_scenario builds a graph does not depend on the tests before it."""
+    monkeypatch.setattr(cli, "_last_graph", None)
 
 
 @pytest.fixture(scope="session")

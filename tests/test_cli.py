@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from ndftsim.cli import (EXIT_BAD_CONFIG, EXIT_CAPACITY, config_to_doc,
-                         default_config, load_config, run_experiment,
-                         validate_config, write_default_config)
+from ndftsim import cli as cli_module
+from ndftsim.cli import (EXIT_BAD_CONFIG, EXIT_CAPACITY, Scenario,
+                         config_to_doc, default_config, load_config,
+                         run_experiment, validate_config, write_default_config)
 from ndftsim.errors import ConfigurationError
-from ndftsim.workload import CalibrationFixture
+from ndftsim.workload import CalibrationFixture, PseudoMode
 
 
 @pytest.fixture()
@@ -290,3 +291,59 @@ def test_scenario_report_rows(tmp_path):
                      "inter_stack_messages", "cache_hits", "footprint_bytes",
                      "footprint_pct"):
         assert required in rows, required
+
+
+def test_cli_duplicate_scenario_name_exits_2(tmp_path):
+    """Two scenarios named si16_hybrid would share one report file and one
+    summary row."""
+    doc = small_matrix_doc(tmp_path)
+    doc["scenarios"] = [
+        {"n_atoms": 16, "policy": "hybrid", "pseudo_mode": mode, "seed": 1}
+        for mode in ("shared_block", "per_process_copy")]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    proc = cli("validate", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stdout == "scenarios[1]: duplicate scenario name si16_hybrid\n"
+    proc = cli("run", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr == ("invalid config: scenarios[1]: duplicate scenario "
+                           "name si16_hybrid\n")
+    assert not (tmp_path / "out").exists()
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(cli_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, name, counted)
+    return calls
+
+
+def test_shipped_matrix_builds_one_graph_per_ndp_pair(tmp_path, monkeypatch):
+    builds = count_calls(monkeypatch, "build_taskgraph")
+    runs = count_calls(monkeypatch, "run_scenario")
+    config = default_config(tmp_path)
+    run_experiment(config)
+    assert len(builds) == 14  # ndp_only and hybrid share a graph
+    assert runs == [((sc, config), {}) for sc in config.scenarios]
+
+
+def test_run_scenario_rebuilds_for_a_changed_mode_or_fixture(monkeypatch):
+    builds = count_calls(monkeypatch, "build_taskgraph")
+    config = default_config()
+    shared = Scenario(16, "hybrid", PseudoMode.SHARED_BLOCK, seed=1)
+    copy = replace(shared, pseudo_mode=PseudoMode.PER_PROCESS_COPY)
+    fewer_groups = replace(config, fixture=replace(config.fixture,
+                                                   orbital_groups_max=8))
+    equal_fixture = replace(config, fixture=CalibrationFixture.calibrated())
+    for scenario, cfg, n_builds in ((shared, config, 1),
+                                    (replace(shared, policy="ndp_only"), config, 1),
+                                    (copy, config, 2), (copy, equal_fixture, 2),
+                                    (copy, fewer_groups, 3), (shared, fewer_groups, 4)):
+        cli_module.run_scenario(scenario, cfg)
+        assert len(builds) == n_builds, (scenario, n_builds)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ndftsim import scheduler
 from ndftsim.cli import default_config
 from ndftsim.errors import CapacityError, DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MachineConfig, UnitClass, UnitRef)
@@ -339,3 +340,63 @@ def test_shipped_placements_are_pinned(name):
     schedule = plan(graph, machine, policy=scenario.policy)
     text = schedule.to_csv(graph) + repr(schedule.overhead)
     assert hashlib.sha256(text.encode()).hexdigest() == PLACEMENT_SHA256[name]
+
+
+def shipped_graph(scenario, fixture):
+    """The graph run_scenario builds for a shipped scenario."""
+    context = "cpu" if scenario.policy == "cpu_only" else "ndp"
+    return build_taskgraph(
+        derive_system(scenario.n_atoms, fixture, context=context),
+        fixture, pseudo_mode=scenario.pseudo_mode)
+
+
+SHIPPED = default_config().scenarios
+
+
+@pytest.mark.parametrize("scenario", SHIPPED, ids=[sc.name for sc in SHIPPED])
+def test_planned_lists_equal_schedule_from_placements(cfg, calibrated, scenario):
+    graph = shipped_graph(scenario, calibrated)
+    schedule = plan(graph, cfg, policy=scenario.policy)
+    full = schedule_from_placements(graph, cfg, schedule.placements,
+                                    scenario.policy)
+    assert schedule.transfers == full.transfers
+    assert schedule.crossing_edges == full.crossing_edges
+    assert repr(schedule.overhead) == repr(full.overhead)
+
+
+@pytest.mark.parametrize("scenario", SHIPPED, ids=[sc.name for sc in SHIPPED])
+def test_plan_and_simulate_leave_the_graph_unchanged(cfg, calibrated, scenario):
+    """run_scenario hands one graph to both ndp_only and hybrid."""
+    graph = shipped_graph(scenario, calibrated)
+    before = (graph.dump_lines(), list(graph.edges), dict(graph.producers),
+              dict(graph.data_objects))
+    schedule = plan(graph, cfg, policy=scenario.policy)
+    simulate(schedule, graph, cfg, calibrated)
+    schedule.transfers  # the derived lists walk the graph too
+    assert (graph.dump_lines(), graph.edges, graph.producers,
+            graph.data_objects) == before
+
+
+def test_plan_lists_its_moves_on_first_read_only(monkeypatch, cfg, calibrated):
+    """plan() does not walk the placements; simulate() reads no list."""
+    calls = []
+    original = scheduler.schedule_from_placements
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "schedule_from_placements", counted)
+    graph = build_taskgraph(derive_system(64, calibrated), calibrated)
+    schedule = plan(graph, cfg, policy="hybrid")
+    simulate(schedule, graph, cfg, calibrated)
+    assert calls == []
+    assert schedule.crossing_edges and schedule.overhead.total > 0
+    assert schedule.transfers and calls == ["hybrid"]
+    # a derived field assigned before the first read keeps its value
+    other = plan(graph, cfg, policy="ndp_only")
+    other.transfers = []
+    assert other.overhead.cxt_count == 0 and other.transfers == []
+    assert calls == ["hybrid", "ndp_only"]
+    with pytest.raises(AttributeError):
+        schedule.no_such_field
