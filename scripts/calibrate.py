@@ -4,46 +4,40 @@
 Maintenance tool: run after touching fixture coefficients or the machine
 defaults to see where the speedup chain and overhead fractions land.
 
-    python scripts/calibrate.py            # shipped fixture
-    python scripts/calibrate.py --fft-byte-coef 60 --gemm-scale 0.15
+    python scripts/calibrate.py              # shipped config
+    python scripts/calibrate.py trial.yaml   # e.g. `ndft-sim init`, then edit
+
+The config's scenarios must hold cpu_only, ndp_only and hybrid at each size,
+si64 and si1024 among them; the script names any that are missing.
 """
 
 import argparse
-from dataclasses import replace
 
-from ndftsim.cli import ExperimentConfig, default_config, run_scenario
-from ndftsim.workload import FamilyCoefficients
+from ndftsim.cli import (ExperimentConfig, default_config, load_config,
+                         run_scenario)
+from ndftsim.errors import ConfigurationError
+from ndftsim.scheduler import POLICIES
 
 
 def config_from_args(argv: list[str] | None = None) -> ExperimentConfig:
-    """The shipped config with the command line's overrides applied."""
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fft-byte-coef", type=float, default=None)
-    ap.add_argument("--face-byte-coef", type=float, default=None)
-    ap.add_argument("--gemm-scale", type=float, default=None,
-                    help="scale gemm flop and byte coefficients together "
-                         "(keeps its intensity, moves its time)")
-    ap.add_argument("--syevd-byte-coef", type=float, default=None)
-    ap.add_argument("--cxt", type=float, default=None)
+    """The config the optional YAML path names, or the shipped one."""
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("config", nargs="?", help="YAML config (default: shipped)")
     args = ap.parse_args(argv)
-
-    config = default_config()
-    fixture = config.fixture
-    if args.fft_byte_coef is not None:
-        fixture = replace(fixture, fft=replace(fixture.fft,
-                                               byte_coef=args.fft_byte_coef))
-    if args.face_byte_coef is not None:
-        fixture = replace(fixture, face_split=replace(
-            fixture.face_split, byte_coef=args.face_byte_coef))
-    if args.gemm_scale is not None:
-        fixture = replace(fixture, gemm=FamilyCoefficients(
-            2.0 * args.gemm_scale, 1.0 * args.gemm_scale))
-    if args.syevd_byte_coef is not None:
-        fixture = replace(fixture, syevd=replace(
-            fixture.syevd, byte_coef=args.syevd_byte_coef))
-    config.fixture = fixture
-    if args.cxt is not None:
-        config.machine = config.machine.with_cxt(args.cxt)
+    if args.config is None:
+        return default_config()
+    try:
+        config = load_config(args.config)
+    except ConfigurationError as exc:
+        ap.error(str(exc))
+    bad = config.validate()
+    runs = {(sc.n_atoms, sc.policy) for sc in config.scenarios}
+    sizes = sorted({n for n, _ in runs} | {64, 1024})
+    bad += [f"scenarios: no si{n}_{p}" for n in sizes for p in POLICIES
+            if (n, p) not in runs]
+    if bad:
+        ap.error("\n".join(bad))
     return config
 
 

@@ -10,20 +10,19 @@ import csv
 import io
 import os
 import sys
-from dataclasses import (KW_ONLY, MISSING, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import (KW_ONLY, MISSING, dataclass, field, is_dataclass,
+                         replace)
 from enum import Enum
-from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Union, get_args, get_origin
 
 import click
 import yaml
 
 from .costmodel import PseudoMode, footprint_percentage
 from .errors import (CapacityError, ConfigurationError, NdftError, NonNegInt,
-                     PosInt, config_errors)
+                     PosInt, config_errors, doc_fields)
 from .machine import MachineConfig
 from .scheduler import POLICIES, plan
 from .simulator import SimulationReport, simulate
@@ -92,8 +91,8 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
 
 # -- config document mapping --------------------------------------------------
 #
-# The document is derived from the dataclasses: each field is one key (its
-# name, or its "doc_key" metadata), checked against the field's type hint.
+# The document is derived from the dataclasses: each field is one key, as
+# errors.doc_fields names it, checked against the field's type hint.
 # A key left out, or a nested node given as null, keeps the value of the base
 # the node is read onto: ExperimentConfig() at the top, the class defaults
 # inside a list.  A null leaf is an error unless its hint is ``T | None``.
@@ -103,14 +102,6 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
 _LEAVES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
            float: ((int, float), "a number"), str: ((str,), "a string"),
            Path: ((str,), "a path string")}
-
-
-@cache
-def _doc_fields(cls) -> dict:
-    """Document key -> (field, type hint) for each field of a dataclass."""
-    hints = get_type_hints(cls)
-    return {f.metadata.get("doc_key", f.name): (f, hints[f.name])
-            for f in fields(cls)}
 
 
 def _path(key: str, name) -> str:
@@ -129,6 +120,8 @@ def _from_doc(hint, node, key: str, base=None):
     ``base`` supplies what a dataclass node leaves out; with no base, a
     field without a default is required.  Errors name the key path.
     """
+    if get_origin(hint) is Annotated:  # the domain is config_errors' to check
+        hint = get_args(hint)[0]
     origin, args = get_origin(hint), get_args(hint)
     if origin in (UnionType, Union):  # T | None, a Union if T was Annotated
         inner, = (a for a in args if a is not NoneType)
@@ -161,12 +154,12 @@ def _from_doc(hint, node, key: str, base=None):
 
 
 def _dataclass_from_doc(cls, node: dict, key: str, base):
-    known = _doc_fields(cls)
+    known = doc_fields(cls)
     for name in node:
         if name not in known:
             raise ConfigurationError("unknown field", key=_path(key, name))
     values = {}
-    for name, (f, hint) in known.items():
+    for name, (f, hint, _) in known.items():
         inherited = None if base is None else getattr(base, f.name)
         if name in node:
             values[f.name] = _from_doc(hint, node[name], _path(key, name),
@@ -210,7 +203,7 @@ def config_to_doc(value):
     """Round-trippable plain-data form of a config (or of any part of it)."""
     if is_dataclass(value):
         return {name: config_to_doc(getattr(value, f.name))
-                for name, (f, _) in _doc_fields(type(value)).items()}
+                for name, (f, _, _) in doc_fields(type(value)).items()}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Path):

@@ -1,6 +1,6 @@
-"""Exception types shared across the simulator, and the config domain check."""
+"""Exception types shared across the simulator, and the config field table."""
 
-import operator
+import math
 from dataclasses import fields, is_dataclass
 from functools import cache
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -13,7 +13,9 @@ NonNegInt = Annotated[int, ">= 0"]
 PosFloat = Annotated[float, "> 0"]
 NonNegFloat = Annotated[float, ">= 0"]
 
-_COMPARE = {">=": operator.ge, ">": operator.gt}
+# A domain holds finite numbers only: nan and inf fail both comparisons.
+_COMPARE = {">=": lambda x, bound: bound <= x < math.inf,
+            ">": lambda x, bound: bound < x < math.inf}
 
 
 class NdftError(Exception):
@@ -42,16 +44,17 @@ class ConfigurationError(NdftError, ValueError):
 
 
 @cache
-def _domains(cls) -> list:
-    """(field name, document key, domain or None) for each field of cls."""
+def doc_fields(cls) -> dict:
+    """Document key (name or "doc_key") -> (field, hint, domain or None) per
+    field of a config dataclass: one table for loader, dumper and checker."""
     hints = get_type_hints(cls, include_extras=True)
-    out = []
+    table = {}
     for f in fields(cls):
         hint = hints[f.name]
         domain = next((h.__metadata__[0] for h in (hint, *get_args(hint))
                        if get_origin(h) is Annotated), None)
-        out.append((f.name, f.metadata.get("doc_key", f.name), domain))
-    return out
+        table[f.metadata.get("doc_key", f.name)] = (f, hint, domain)
+    return table
 
 
 def config_errors(value, key: str) -> list[str]:
@@ -63,8 +66,8 @@ def config_errors(value, key: str) -> list[str]:
     ``relation_errors(key)``, and run after its fields.
     """
     bad = []
-    for name, doc_key, domain in _domains(type(value)):
-        item = getattr(value, name)
+    for doc_key, (f, _, domain) in doc_fields(type(value)).items():
+        item = getattr(value, f.name)
         path = f"{key}.{doc_key}" if key else doc_key
         if domain is not None:
             op, bound = domain.split()

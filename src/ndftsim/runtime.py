@@ -29,7 +29,8 @@ from .costmodel import (Arch, CommStats, PseudoMode, PseudoTrace,
 from .errors import (CapacityError, DataError, DomainError, LocalityError,
                      RangeError, UnknownBlockError)
 from .machine import MachineConfig, UnitClass, UnitRef
-from .workload import HEADER_BYTES, SystemSpec, block_length
+from .workload import (DIRECTORY_ENTRY_BYTES, HEADER_BYTES, SystemSpec,
+                       block_length)
 
 log = logging.getLogger("ndftsim.runtime")
 
@@ -396,7 +397,7 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
         _apply_block(wfs, idx, mat)
 
     footprint = (spec.n_atoms * block_bytes
-                 + 24 * len(runtime.directory) * cfg.total_stacks
+                 + DIRECTORY_ENTRY_BYTES * len(runtime.directory) * cfg.total_stacks
                  + wfs.nbytes)
     mem = MemStats(footprint_bytes=footprint, spm_spills=spills)
     return wfs, mem, runtime.comm

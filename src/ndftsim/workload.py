@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .errors import DomainError, NonNegFloat, NonNegInt, PosFloat, PosInt
-from .machine import GIB
+from .machine import GIB, HOST
 
 HEADER_BYTES = 32        # shared-block header
+DIRECTORY_ENTRY_BYTES = 24  # one DirectoryEntry: owner, address, length
 COMPLEX_BYTES = 16       # complex double grid element
 REAL_BYTES = 8
 
@@ -319,8 +320,8 @@ def kernel_cost(family: KernelFamily, fixture: CalibrationFixture,
         m = fixture.pseudo.projectors_per_atom
         block = fixture.pseudo.block_bytes
         flops = co.flop_coef * wf * atoms * (2.0 * m * m + 4.0 * m)
-        # every process resolves every block address through the directory
-        br = (wf * atoms * (block + 16.0 * m) + 24.0 * atoms) * co.byte_coef
+        directory = DIRECTORY_ENTRY_BYTES * atoms  # each process reads every entry
+        br = (wf * atoms * (block + 16.0 * m) + directory) * co.byte_coef
         bw = (wf * atoms * (16.0 * m) + owned_atoms * block) * co.byte_coef
         extra = size.get("copy_bytes", 0.0)
         return flops, br, bw + extra
@@ -357,36 +358,27 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
 
     tasks: list[KernelDescriptor] = []
     objects: dict[str, DataObject] = {}
-    from .machine import HOST
 
     def add_object(oid: str, size: int, initial: int | None) -> str:
         objects[oid] = DataObject(oid, int(size), initial)
         return oid
 
-    # Most tasks of a stage share one shape; evaluate each distinct set of
-    # arguments once.  Types are part of the key, so 2 and 2.0 stay apart.
-    costs: dict[tuple, tuple[float, float, float]] = {}
-
-    def cost(family: KernelFamily, **size) -> tuple[float, float, float]:
-        key = (family, tuple(size.items()), tuple(map(type, size.values())))
-        out = costs.get(key)
-        if out is None:
-            out = costs[key] = kernel_cost(family, fixture, **size)
-        return out
+    def task(tid: str, family: KernelFamily, inputs, outputs,
+             **size) -> KernelDescriptor:
+        fl, br, bw = kernel_cost(family, fixture, **size)
+        return KernelDescriptor(tid, family, fl, br, bw,
+                                tuple(inputs), tuple(outputs))
 
     # Stage 1: orbital transforms, one task per orbital group.
-    orbital_groups: dict[str, list[tuple[str, int]]] = {"v": [], "c": []}
+    orbital_groups: dict[str, list[str]] = {"v": [], "c": []}
     for kind, total, groups in (("c", nc, gc), ("v", nv, gv)):
         sizes = _split_even(total, groups)
         for i, norb in enumerate(sizes):
             raw = add_object(f"orb_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, HOST)
             out = add_object(f"orbhat_{kind}_{i:04d}", COMPLEX_BYTES * nr * norb, None)
-            fl, br, bw = cost(KernelFamily.FFT, n=nr, count=norb)
-            tasks.append(KernelDescriptor(
-                id=f"s1_fft_orb_{kind}_{i:04d}", family=KernelFamily.FFT,
-                flops=fl, bytes_read=br, bytes_written=bw,
-                inputs=(raw,), outputs=(out,)))
-            orbital_groups[kind].append((out, norb))
+            tasks.append(task(f"s1_fft_orb_{kind}_{i:04d}", KernelFamily.FFT,
+                              (raw,), (out,), n=nr, count=norb))
+            orbital_groups[kind].append(out)
 
     # Stage 2/3: pair cells on the (gv x gc) group grid.  The truncated pair
     # count D is spread evenly over the cells.
@@ -399,20 +391,13 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
         if pairs == 0:
             continue
         i, j = divmod(idx, gc)
-        vin = orbital_groups["v"][i][0]
-        cin = orbital_groups["c"][j][0]
         prod = add_object(f"prod_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
-        fl, br, bw = cost(KernelFamily.FACE_SPLIT, n=nr, count=pairs)
-        tasks.append(KernelDescriptor(
-            id=f"s2_face_{idx:04d}", family=KernelFamily.FACE_SPLIT,
-            flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=(vin, cin), outputs=(prod,)))
+        tasks.append(task(f"s2_face_{idx:04d}", KernelFamily.FACE_SPLIT,
+                          (orbital_groups["v"][i], orbital_groups["c"][j]),
+                          (prod,), n=nr, count=pairs))
         phat = add_object(f"prodhat_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
-        fl, br, bw = cost(KernelFamily.FFT, n=nr, count=pairs)
-        prod_ffts.append(KernelDescriptor(
-            id=f"s3_fft_prod_{idx:04d}", family=KernelFamily.FFT,
-            flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=(prod,), outputs=(phat,)))
+        prod_ffts.append(task(f"s3_fft_prod_{idx:04d}", KernelFamily.FFT,
+                              (prod,), (phat,), n=nr, count=pairs))
         cell_out.append((phat, pairs))
     tasks.extend(prod_ffts)
 
@@ -424,59 +409,47 @@ def build_taskgraph(spec: SystemSpec, fixture: CalibrationFixture,
     cells_per_proc: list[list[tuple[int, str, int]]] = [[] for _ in range(procs)]
     for idx, cell in enumerate(cell_out):
         cells_per_proc[idx % procs].append((idx, cell[0], cell[1]))
-    pstate: list[tuple[list[tuple[str, int]], int]] = []  # (cells, process)
+    pstate: list[list[tuple[str, int]]] = []  # per process: (state, pairs)
     copy_bytes = (spec.n_atoms * fixture.pseudo.block_bytes
                   if pseudo_mode is PseudoMode.PER_PROCESS_COPY else 0.0)
     for p in range(procs):
         cells = cells_per_proc[p]
         owned = len(range(p, spec.n_atoms, procs))
-        fl, br, bw = cost(KernelFamily.PSEUDO,
-                          wavefunctions=wf_per_proc[p], atoms=spec.n_atoms,
-                          owned_atoms=owned, copy_bytes=copy_bytes)
         outs = []
         for idx, cell_obj, pairs in cells:
             out = add_object(f"pstate_{idx:04d}", COMPLEX_BYTES * nr * pairs, None)
             outs.append((out, pairs))
         if not outs:  # keep every process represented even with no cells
             outs.append((add_object(f"pstate_x{p:04d}", REAL_BYTES, None), 0))
-        tasks.append(KernelDescriptor(
-            id=f"s4_pseudo_{p:04d}", family=KernelFamily.PSEUDO,
-            flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=tuple(c[1] for c in cells), outputs=tuple(o for o, _ in outs)))
-        pstate.append((outs, p))
+        tasks.append(task(f"s4_pseudo_{p:04d}", KernelFamily.PSEUDO,
+                          (c[1] for c in cells), (o for o, _ in outs),
+                          wavefunctions=wf_per_proc[p], atoms=spec.n_atoms,
+                          owned_atoms=owned, copy_bytes=copy_bytes))
+        pstate.append(outs)
 
     # Stage 5: response-matrix assembly, one tile per process; a tile
     # contracts its own pair rows against the grid dimension.  Only the
     # task's resident slice appears as graph inputs; operand streaming is
     # already inside the byte cost.
     resp_parts: list[str] = []
-    for outs, p in pstate:
+    for p, outs in enumerate(pstate):
         rows = max(sum(pairs for _, pairs in outs), 1)
-        fl, br, bw = cost(KernelFamily.GEMM, m=rows, n=d_resp, k=nr)
         rt = add_object(f"resp_{p:04d}", REAL_BYTES * rows * d_resp, None)
-        tasks.append(KernelDescriptor(
-            id=f"s5_gemm_{p:04d}", family=KernelFamily.GEMM,
-            flops=fl, bytes_read=br, bytes_written=bw,
-            inputs=tuple(o for o, _ in outs), outputs=(rt,)))
+        tasks.append(task(f"s5_gemm_{p:04d}", KernelFamily.GEMM,
+                          (o for o, _ in outs), (rt,), m=rows, n=d_resp, k=nr))
         resp_parts.append(rt)
 
     # Stage 6: one all-to-all transposing the response matrix across all
     # process partitions.
     payload = REAL_BYTES * d_resp * d_resp
-    fl, br, bw = kernel_cost(KernelFamily.ALLTOALL, fixture, payload_bytes=payload)
     response = add_object("response", payload, None)
-    tasks.append(KernelDescriptor(
-        id="s6_alltoall", family=KernelFamily.ALLTOALL,
-        flops=fl, bytes_read=br, bytes_written=bw,
-        inputs=tuple(resp_parts), outputs=(response,)))
+    tasks.append(task("s6_alltoall", KernelFamily.ALLTOALL, resp_parts,
+                      (response,), payload_bytes=payload))
 
     # Stage 7: one dense eigendecomposition of the response matrix.
-    fl, br, bw = kernel_cost(KernelFamily.SYEVD, fixture, n=d_resp)
     spectrum = add_object("spectrum", 2 * REAL_BYTES * d_resp, None)
-    tasks.append(KernelDescriptor(
-        id="s7_syevd", family=KernelFamily.SYEVD,
-        flops=fl, bytes_read=br, bytes_written=bw,
-        inputs=(response,), outputs=(spectrum,)))
+    tasks.append(task("s7_syevd", KernelFamily.SYEVD, (response,), (spectrum,),
+                      n=d_resp))
 
     return TaskGraph(tasks=tasks, data_objects=objects, system=spec,
                      pseudo_mode=pseudo_mode)

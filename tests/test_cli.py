@@ -312,6 +312,27 @@ def test_cli_duplicate_scenario_name_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_infinite_context_switch_exits_2(tmp_path):
+    """cxt_s: .inf used to pass validate, and run wrote nan overhead
+    fractions, for cpu_only too (0 handoffs x inf)."""
+    doc = small_matrix_doc(tmp_path)
+    doc["machine"]["cxt_s"] = float("inf")
+    doc["scenarios"] = [
+        {"n_atoms": 16, "policy": "cpu_only", "pseudo_mode": "per_process_copy",
+         "seed": 1},
+        {"n_atoms": 16, "policy": "hybrid", "seed": 2}]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert "cxt_s: .inf" in path.read_text()
+    proc = cli("validate", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stdout == "machine.cxt_s: must be >= 0\n"
+    proc = cli("run", str(path))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr == "invalid config: machine.cxt_s: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def count_calls(monkeypatch, name: str) -> list:
     calls = []
     original = getattr(cli_module, name)

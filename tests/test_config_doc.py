@@ -138,6 +138,34 @@ def test_validate_lists_every_violation_in_field_order(small_doc):
         "scenarios[0].n_atoms: must be >= 1"]
 
 
+def float_fields(cls, path=()):
+    """Key paths of every float field of a config dataclass, nested ones
+    included; a dict's entries (the fixture's targets) are not fields."""
+    for key, hint in doc_hints(cls).items():
+        if hint is float:
+            yield path + (key,)
+        elif dataclasses.is_dataclass(hint):
+            yield from float_fields(hint, path + (key,))
+
+
+FLOAT_FIELDS = list(float_fields(ExperimentConfig))
+
+
+def test_every_float_field_is_found():
+    # 9 under machine, 12 in the six family records, 5 under footprint
+    assert len(FLOAT_FIELDS) == 26
+
+
+@pytest.mark.parametrize("path", FLOAT_FIELDS,
+                         ids=[key_path(p) for p in FLOAT_FIELDS])
+def test_infinite_value_is_named(small_doc, path):
+    """Each float domain is a lower bound, which inf clears as a comparison;
+    validate still names the key, as for any value outside the domain."""
+    set_at(small_doc, path, float("inf"))
+    bad = config_from_doc(small_doc).validate()
+    assert any(line.startswith(f"{key_path(path)}: must be ") for line in bad), bad
+
+
 def si16_hybrid_doc(output_dir) -> dict:
     doc = config_to_doc(default_config(output_dir))
     doc["scenarios"] = [sc for sc in doc["scenarios"]

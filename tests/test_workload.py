@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -227,3 +229,68 @@ def test_every_kernel_declares_memory_traffic(calibrated):
         for t in graph.tasks:
             assert t.flops >= 0
             assert t.bytes_read + t.bytes_written > 0, t.id
+
+
+# -- graph pins ----------------------------------------------------------------
+#
+# One SHA-256 per graph over its task lines, its objects (id, size, home) and
+# its pseudopotential mode, so an object size or a cost that no report moves
+# still shows.  The shipped matrix builds the 14 keys below: the cpu context
+# with private copies (cpu_only) and the ndp context with shared blocks
+# (ndp_only and hybrid).
+
+def graph_digest(graph) -> str:
+    h = hashlib.sha256()
+    for line in graph.dump_lines():
+        h.update(line.encode() + b"\n")
+    for obj in sorted((o.id, o.size, o.initial_location)
+                      for o in graph.data_objects.values()):
+        h.update(repr(obj).encode() + b"\n")
+    h.update(graph.pseudo_mode.value.encode())
+    return h.hexdigest()
+
+
+CONTEXT_MODE = {"cpu": PseudoMode.PER_PROCESS_COPY, "ndp": PseudoMode.SHARED_BLOCK}
+
+SHIPPED_GRAPH_PINS = {
+    (16, "cpu"): "542c93ee138ba250d8ced83e16f6c5c60c8fc00fc0fd658b132cad53383574ac",
+    (16, "ndp"): "201a4141b24c1a623e7341384872b6a7caaedecf61c93b9d6dcfdadb1510fe22",
+    (32, "cpu"): "820ec820fe09e4f14c74c67299d67fdd7c7e1bb264407c30b57d16cb46ee7770",
+    (32, "ndp"): "c009a111c2b81cc6ef6da0f62726257860225a85040c65e7738a4a5456c250df",
+    (64, "cpu"): "94722bbd285f747419a04b374710f7103d720366ef3e6e11611b6c236ff38247",
+    (64, "ndp"): "d3de2928d1d374d64f1330ce37a276ff8b766bb9c335891fe7c440efddb75d48",
+    (128, "cpu"): "e7e196b0a5efa8d509869485e5de18eb1feacfcfce3e23d73913054258c60474",
+    (128, "ndp"): "15fd7417818606c804009cb4540da0d2b0dceecbd7e49e934e36e2dee1a4cbbd",
+    (256, "cpu"): "1125807a86ebff03e6f768dc2c4c04a3cd11591805810e67bdaf7d198ef32b5c",
+    (256, "ndp"): "0654938c53592e977c09448a6e74150c3823834a93892e94092f04acbc532337",
+    (1024, "cpu"): "8ad7304d80af795d0cf0003f10640614c605cec7d36427790b4d71bd02af90cd",
+    (1024, "ndp"): "b2a292829541a833988dd86c79a2b72feb52a75d79a530bb9c292fb083df6f76",
+    (2048, "cpu"): "fe150a1ccf58e23dd7633379d6fbff93f65810255c03eb398008ed43d973aff0",
+    (2048, "ndp"): "27c90680d955079773dbfc23af7eb0b4d33e806f5c902801310c56498601e0a8",
+}
+
+
+@pytest.mark.parametrize("n_atoms, context", sorted(SHIPPED_GRAPH_PINS))
+def test_shipped_graph_is_pinned(calibrated, n_atoms, context):
+    graph = build_taskgraph(derive_system(n_atoms, calibrated, context),
+                            calibrated, CONTEXT_MODE[context])
+    assert graph_digest(graph) == SHIPPED_GRAPH_PINS[n_atoms, context]
+
+
+def test_graph_with_idle_processes_is_pinned(calibrated):
+    """si2's 16 cells over 128 processes leave 112 processes with no cell."""
+    graph = build_taskgraph(derive_system(2, calibrated, "ndp"), calibrated,
+                            PseudoMode.SHARED_BLOCK)
+    assert sum(o.startswith("pstate_x") for o in graph.data_objects) == 112
+    assert graph_digest(graph) == (
+        "fc4ea258d41dccc5d8a3276138ea68fe27594e24ad3de008f553d108f03694de")
+
+
+def test_graph_with_empty_cells_is_pinned(calibrated):
+    """D = 3 over si2's 16 cells: 13 cells have no pair and get no s2 task."""
+    fixture = replace(calibrated, response_dim_base=3, response_dim_per_atom=0)
+    graph = build_taskgraph(derive_system(2, fixture, "cpu"), fixture,
+                            PseudoMode.PER_PROCESS_COPY)
+    assert sum(t.id.startswith("s2_") for t in graph.tasks) == 3
+    assert graph_digest(graph) == (
+        "a89418f803fd1f7234636604d6b2bbee5cb3139aa15a2331d04338e437b70171")
