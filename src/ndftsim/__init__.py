@@ -13,7 +13,7 @@ from .workload import (CalibrationFixture, KernelDescriptor, KernelFamily,
                        derive_system, kernel_cost)
 from .analyzer import (Boundedness, Classification, arithmetic_intensity,
                        classify, estimate_time)
-from .scheduler import (OverheadBreakdown, Schedule, plan,
+from .scheduler import (OverheadBreakdown, PlanContext, Schedule, plan,
                         schedule_from_placements, scheduling_overhead,
                         transfer_cost)
 from .costmodel import Arch, CommStats, SystemSize, footprint_model
@@ -42,7 +42,8 @@ __all__ = [
     "Arch", "BlockDirectory", "Boundedness", "CalibrationFixture",
     "Classification", "CommStats", "ExperimentConfig", "KernelDescriptor",
     "KernelFamily", "Location", "MachineConfig", "MemStats", "NdpRuntime",
-    "OverheadBreakdown", "PseudoMode", "Schedule", "SharedBlock",
+    "OverheadBreakdown", "PlanContext", "PseudoMode", "Schedule",
+    "SharedBlock",
     "SimulationReport", "SystemSize", "SystemSpec", "TaskGraph", "UnitClass",
     "UnitRef", "arithmetic_intensity", "attainable_perf", "bandwidth",
     "build_taskgraph", "classify", "compare",

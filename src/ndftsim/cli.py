@@ -24,7 +24,7 @@ from .costmodel import PseudoMode, footprint_percentage
 from .errors import (CapacityError, ConfigurationError, NdftError, NonNegInt,
                      PosInt, config_errors, doc_fields)
 from .machine import MachineConfig
-from .scheduler import POLICIES, plan
+from .scheduler import POLICIES, PlanContext, plan
 from .simulator import SimulationReport, simulate
 from .workload import (CalibrationFixture, KernelFamily, SystemSpec,
                        build_taskgraph, derive_system)
@@ -224,8 +224,10 @@ def write_default_config(path: str | Path) -> None:
 
 
 # The last graph run_scenario built, keyed by what it was built from: the
-# system, the pseudopotential mode and the fixture.  ndp_only and hybrid at
-# one size share a key, so the shipped matrix builds 14 graphs, not 21.
+# system, the pseudopotential mode and the fixture, with the plan context of
+# that graph and the last machine.  ndp_only and hybrid at one size share a
+# key, so the shipped matrix builds 14 graphs, not 21, and the pair shares
+# the planner's tables and group evaluations.
 _last_graph: tuple | None = None
 
 
@@ -234,6 +236,7 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
 
     The graph is reused when the previous call built it from an equal
     system, mode and fixture; plan() and simulate() leave a graph unchanged.
+    Its plan context is reused too while the machine stays equal.
     """
     global _last_graph
     context = "cpu" if scenario.policy == "cpu_only" else "ndp"
@@ -241,10 +244,15 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
     key = (spec, scenario.pseudo_mode, config.fixture)
     if _last_graph is None or _last_graph[0] != key:
         _last_graph = None  # freed before the next graph is built
-        _last_graph = (key, build_taskgraph(spec, config.fixture,
-                                            pseudo_mode=scenario.pseudo_mode))
-    graph = _last_graph[1]
-    schedule = plan(graph, config.machine, policy=scenario.policy)
+        graph = build_taskgraph(spec, config.fixture,
+                                pseudo_mode=scenario.pseudo_mode)
+        _last_graph = (key, graph, PlanContext(graph, config.machine))
+    _, graph, plan_context = _last_graph
+    if plan_context.cfg != config.machine:  # a changed machine, a fresh one
+        plan_context = PlanContext(graph, config.machine)
+        _last_graph = (key, graph, plan_context)
+    schedule = plan(graph, config.machine, policy=scenario.policy,
+                    context=plan_context)
     report = simulate(schedule, graph, config.machine, config.fixture)
     if scenario.exec_pseudo:
         # Numeric verification on a desk-scale replica of the scenario.

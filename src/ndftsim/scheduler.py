@@ -18,6 +18,7 @@ import csv
 import io
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
@@ -232,6 +233,7 @@ def schedule_from_placements(graph: TaskGraph, cfg: MachineConfig,
 class _Assignment:
     """Tentative placement of one stage group on one unit class."""
 
+    cls: UnitClass
     units: dict[str, UnitRef]
     ends: dict[str, float]
     ndp_free: list[float]       # per-unit ready times
@@ -242,63 +244,109 @@ class _Assignment:
     input_bytes_resident: float
 
 
-class _PlanState:
-    """Unit, link and data cursors of a partial plan.
+# one letter per class in a plan state's committed prefix
+_CODE = {UnitClass.CPU: "c", UnitClass.NDP_UNIT: "n"}
 
-    The per-graph facts (object sizes, whether a task fits in NDP memory,
-    and the duration table of every task on every permitted class) are
-    built once per plan() call and shared by all snapshots.  A task's
-    roofline time depends only on its unit class and its (flops, bytes
-    read, bytes written) shape, so the table is filled with one estimate
-    per distinct shape and class and serves every candidate unit.
+
+class PlanContext:
+    """What plan() derives from one graph and one machine alone.
+
+    That is the object sizes, the stage groups, the duration table of each
+    class (filled the first time the class is planned), whether each task
+    fits in NDP memory (built the first time an NDP class is evaluated, so
+    a cpu_only plan never builds it), and a memo of group evaluations keyed
+    by (classes committed so far, class).  A task's roofline time depends
+    only on its unit class and its (flops, bytes read, bytes written) shape,
+    so a duration table holds one estimate per distinct shape and serves
+    every candidate unit.
+
+    Plans of any policy may share a context.  The memo is exact: a group
+    evaluation reads only the plan state's cursors, and those are a
+    function of the classes committed before the group; the policy decides
+    only which classes are evaluated and chosen.
+    """
+
+    def __init__(self, graph: TaskGraph, cfg: MachineConfig):
+        self.graph = graph
+        self.cfg = cfg
+        self.size = {oid: obj.size for oid, obj in graph.data_objects.items()}
+        self.homes = {oid: obj.initial_location
+                      for oid, obj in graph.data_objects.items()
+                      if obj.initial_location is not None}
+        # consecutive tasks of one stage are placed as one group
+        self.groups: list[tuple[str, list]] = []
+        for task in graph.tasks:
+            if self.groups and self.groups[-1][0] == task.stage:
+                self.groups[-1][1].append(task)
+            else:
+                self.groups.append((task.stage, [task]))
+        self.ndp_units = [UnitRef.ndp(s, u)
+                          for s in range(cfg.total_stacks)
+                          for u in range(cfg.ndp.units_per_stack)]
+        self.ndp_loc = [u.location() for u in self.ndp_units]
+        self.memo: dict[tuple[str, UnitClass], _Assignment | None] = {}
+        self._durations: dict[UnitClass, dict[str, float]] = {}
+
+    def duration(self, cls: UnitClass) -> dict[str, float]:
+        """Task id -> seconds on one unit of the class."""
+        table = self._durations.get(cls)
+        if table is None:
+            by_shape: dict[tuple[float, float, float], float] = {}
+            table = self._durations[cls] = {}
+            for t in self.graph.tasks:
+                shape = (t.flops, t.bytes_read, t.bytes_written)
+                if shape not in by_shape:
+                    by_shape[shape] = estimate_time(t, cls, self.cfg)
+                table[t.id] = by_shape[shape]
+        return table
+
+    @cached_property
+    def fits_ndp(self) -> dict[str, bool]:
+        # streaming capacity: outputs plus the largest input window must fit
+        # in the NDP memory; host memory backs the CPU side
+        size = self.size
+        capacity = self.cfg.total_capacity
+        return {t.id: sum(size[o] for o in t.outputs)
+                + max((size[o] for o in t.inputs), default=0) <= capacity
+                for t in self.graph.tasks}
+
+
+class _PlanState:
+    """Unit, link and data cursors of a partial plan, and the prefix of
+    classes committed so far, one letter per group.
+
+    The per-graph facts live in a PlanContext shared by all snapshots, and
+    by other plans when the caller passes one in; without one the state
+    builds its own.  The cursors are a function of the prefix, which is
+    what lets evaluate_all read group evaluations from the context's memo.
     """
 
     def __init__(self, graph: TaskGraph, cfg: MachineConfig,
-                 classes: list[UnitClass]):
+                 classes: list[UnitClass], context: PlanContext | None = None):
+        self.context = context or PlanContext(graph, cfg)
         self.graph = graph
         self.cfg = cfg
         self.classes = classes
+        self.prefix = ""
         self.cpu = UnitRef.cpu()
         self.ups = cfg.ndp.units_per_stack
-        self.ndp_units = [UnitRef.ndp(s, u)
-                          for s in range(cfg.total_stacks)
-                          for u in range(self.ups)]
-        self.ndp_loc = [u.location() for u in self.ndp_units]
+        self.ndp_units = self.context.ndp_units
+        self.ndp_loc = self.context.ndp_loc
         self.ndp_free = [0.0] * len(self.ndp_units)
         self.cpu_free = 0.0
         self.link_free = 0.0  # CPU link cursor for staging serialization
         self.path = cfg.links.path
-        self.size = {oid: obj.size for oid, obj in graph.data_objects.items()}
-        self.obj_loc: dict[str, int] = {}
-        self.obj_ready: dict[str, float] = {}
-        for oid, obj in graph.data_objects.items():
-            if obj.initial_location is not None:
-                self.obj_loc[oid] = obj.initial_location
-                self.obj_ready[oid] = 0.0
+        self.size = self.context.size
+        self.obj_loc: dict[str, int] = dict(self.context.homes)
+        self.obj_ready: dict[str, float] = dict.fromkeys(self.obj_loc, 0.0)
         self.placements: dict[str, UnitRef] = {}
-        self.duration: dict[UnitClass, dict[str, float]] = {}
-        for cls in classes:
-            by_shape: dict[tuple[float, float, float], float] = {}
-            table = self.duration[cls] = {}
-            for t in graph.tasks:
-                shape = (t.flops, t.bytes_read, t.bytes_written)
-                if shape not in by_shape:
-                    by_shape[shape] = estimate_time(t, cls, cfg)
-                table[t.id] = by_shape[shape]
-        # streaming capacity: outputs plus the largest input window must fit
-        # in the NDP memory; host memory backs the CPU side
-        capacity = cfg.total_capacity
-        self.fits_ndp = {
-            t.id: sum(self.size[o] for o in t.outputs)
-            + max((self.size[o] for o in t.inputs), default=0)
-            <= capacity
-            for t in graph.tasks}
 
     def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":
         """Clone with the assignment committed, for lookahead evaluation.
 
         The clone equals what this state becomes after commit(members,
-        chosen), so evaluations made on it stay valid after the commit.
+        chosen), prefix included, so the memo serves the evaluations made on
+        it to the committed state too.
         """
         clone = copy.copy(self)
         clone.obj_loc = dict(self.obj_loc)
@@ -369,7 +417,8 @@ class _PlanState:
         Returns None if some task fits on no unit of the class.  The state
         itself is not modified.
         """
-        duration = self.duration[cls]
+        duration = self.context.duration(cls)
+        fits_ndp = None if cls is UnitClass.CPU else self.context.fits_ndp
         obj_loc = self.obj_loc
         size = self.size
         ndp_free = list(self.ndp_free)
@@ -386,7 +435,7 @@ class _PlanState:
                 ready, lf, ovh = self.stage_inputs(task, CPU_SIDE, link_free)
                 eft, idx, loc = max(cpu_free, ready) + dur, -1, CPU_SIDE
             else:
-                if not self.fits_ndp[task.id]:
+                if not fits_ndp[task.id]:
                     return None  # nothing on this class can hold the task
                 least = ndp_free.index(min(ndp_free))
                 candidates = [least]
@@ -421,31 +470,43 @@ class _PlanState:
             for oid in task.inputs:
                 if obj_loc.get(oid, HOST) == loc:
                     resident += size[oid]
-        return _Assignment(units=units, ends=ends, ndp_free=ndp_free,
+        return _Assignment(cls=cls, units=units, ends=ends, ndp_free=ndp_free,
                            cpu_free=cpu_free, link_free=link_free,
                            completion=completion, overhead=overhead,
                            input_bytes_resident=resident)
 
     def evaluate_all(self, members: list) -> dict[UnitClass, _Assignment | None]:
-        return {cls: self.evaluate_group(members, cls)
-                for cls in self.class_options(members)}
+        """Evaluate the group after the committed prefix on each class option,
+        through the context's memo."""
+        memo = self.context.memo
+        out = {}
+        for cls in self.class_options(members):
+            key = (self.prefix, cls)
+            if key not in memo:
+                memo[key] = self.evaluate_group(members, cls)
+            out[cls] = memo[key]
+        return out
 
     def commit(self, members: list, chosen: _Assignment) -> None:
-        # evaluate_group copies ndp_free before writing, so sharing the
-        # assignment's list is safe
+        # evaluate_group copies ndp_free before writing, so states and the
+        # memo may share the assignment's list
         self.ndp_free = chosen.ndp_free
         self.cpu_free = chosen.cpu_free
         self.link_free = chosen.link_free
+        self.prefix += _CODE[chosen.cls]
+        units, ends = chosen.units, chosen.ends
+        obj_loc, obj_ready = self.obj_loc, self.obj_ready
+        self.placements.update(units)
         for task in members:
-            unit = chosen.units[task.id]
-            self.placements[task.id] = unit
-            loc = unit.location()
+            loc = units[task.id].location()
+            end = ends[task.id]
             for oid in task.outputs:
-                self.obj_loc[oid] = loc
-                self.obj_ready[oid] = chosen.ends[task.id]
+                obj_loc[oid] = loc
+                obj_ready[oid] = end
 
 
-def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedule:
+def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
+         context: PlanContext | None = None) -> Schedule:
     """List-schedule the graph under a placement policy.
 
     ``hybrid`` chooses per stage group between the CPU and the NDP fleet;
@@ -456,9 +517,13 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     bytes, CPU first) rank wins.  Overheads are never negative, so a
     class's score is never below its own completion plus overhead; classes
     are visited by that floor and the lookahead stops once the floor ranks
-    above the best full rank, which no later class can beat.  The winner's
-    lookahead evaluations are reused as the next group's own evaluations,
-    since committing the winner yields exactly the snapshot they ran on.
+    above the best full rank, which no later class can beat.
+
+    Group evaluations go through the context's memo, so the winner's
+    lookahead evaluations serve as the next group's own, and plans that
+    share a ``context`` (a PlanContext of this graph and an equal machine;
+    any other is a DomainError) share every evaluation made on the same
+    committed prefix.  Without one, the plan builds its own.
 
     The schedule lists its transfers, crossing edges and overhead only when
     one of them is first read, so a plan that goes straight to simulate()
@@ -466,21 +531,20 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
+    if context is None:
+        context = PlanContext(graph, cfg)
+    elif context.graph is not graph:
+        raise DomainError("plan context was built for another graph")
+    elif context.cfg != cfg:
+        raise DomainError("plan context was built for another machine")
     classes = []
     if policy in ("hybrid", "cpu_only"):
         classes.append(UnitClass.CPU)
     if policy in ("hybrid", "ndp_only"):
         classes.append(UnitClass.NDP_UNIT)
-    state = _PlanState(graph, cfg, classes)
+    state = _PlanState(graph, cfg, classes, context)
 
-    groups: list[tuple[str, list]] = []
-    for task in graph.tasks:
-        if groups and groups[-1][0] == task.stage:
-            groups[-1][1].append(task)
-        else:
-            groups.append((task.stage, [task]))
-
-    evaluations = state.evaluate_all(groups[0][1]) if groups else {}
+    groups = context.groups
     for gi, (key, members) in enumerate(groups):
         nxt = groups[gi + 1][1] if gi + 1 < len(groups) else None
         # ties: prefer the class holding more input bytes, then CPU.  The
@@ -489,13 +553,12 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
         floors = sorted(
             ((a.completion + a.overhead, -a.input_bytes_resident,
               0 if cls is UnitClass.CPU else 1), a)
-            for cls, a in evaluations.items() if a is not None)
+            for cls, a in state.evaluate_all(members).items() if a is not None)
         best = None
         for floor, assignment in floors:
             if best is not None and floor > best[0]:
                 break  # neither this class nor any later one can rank first
             score = floor[0]
-            follow: dict[UnitClass, _Assignment | None] = {}
             # One-group lookahead: a placement that strands its outputs on
             # the wrong side of the boundary must pay for it now.
             if nxt is not None:
@@ -506,11 +569,10 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid") -> Schedu
                     score = min(finishes) + assignment.overhead
             rank = (score,) + floor[1:]
             if best is None or rank < best[0]:
-                best = (rank, assignment, follow)
+                best = (rank, assignment)
         if best is None:
             raise CapacityError(
                 f"stage {key} fits on no permitted unit under policy {policy}")
-        _, chosen, evaluations = best
-        state.commit(members, chosen)
+        state.commit(members, best[1])
 
     return Schedule._deferred(policy, state.placements, graph, cfg)

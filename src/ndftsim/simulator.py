@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .analyzer import estimate_time
@@ -99,9 +99,11 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     hop = links.hop
     free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
     unit_free: dict[UnitRef, float] = {}
-    unit_name: dict[UnitRef, str] = {}
+    # per unit: its name, its class's duration cache and its busy seconds
+    # per family value.  A UnitRef's hash is precomputed, while an Enum key
+    # would hash in Python on every task.
+    unit_info: dict[UnitRef, tuple[str, dict, dict[str, float]]] = {}
     timeline: list[TimelineEvent] = []
-    busy: dict[UnitRef, dict[KernelFamily, float]] = {}
     comm = CommStats()
     transferred = 0
 
@@ -141,16 +143,17 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
 
     # estimate_time depends only on the unit class and the task's (flops,
     # bytes read, bytes written) shape
-    durations: dict[tuple, float] = {}
+    durations: dict[UnitClass, dict[tuple, float]] = {}
     task_end: dict[str, float] = {}
     dt = 0  # summed in the order, and from the int 0, of scheduling_overhead
     n_handoffs = 0
     for task, u, u_loc, inputs in placed_moves(graph, cfg, placements):
         tid = task.id
         family = task.family
-        name = unit_name.get(u)
-        if name is None:
-            name = unit_name[u] = str(u)
+        info = unit_info.get(u)
+        if info is None:
+            info = unit_info[u] = (str(u), durations.setdefault(u.cls, {}), {})
+        name, shape_durations, fams = info
         data_ready = 0.0
         n_cxt = 0
         for oid, n_bytes, producer, _src, path, crossing in inputs:
@@ -181,22 +184,22 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                                          links, free, start, timeline, comm)
             transferred += moved
         else:
-            shape = (u.cls, task.flops, task.bytes_read, task.bytes_written)
-            dur = durations.get(shape)
+            shape = (task.flops, task.bytes_read, task.bytes_written)
+            dur = shape_durations.get(shape)
             if dur is None:
-                dur = durations[shape] = estimate_time(task, u.cls, cfg)
+                dur = shape_durations[shape] = estimate_time(task, u.cls, cfg)
         end = start + dur
         unit_free[u] = end
-        fams = busy.setdefault(u, {})
-        fams[family] = fams.get(family, 0.0) + dur
+        value = family._value_
+        fams[value] = fams.get(value, 0.0) + dur
         timeline.append(TimelineEvent(start, end, "task", name, tid))
         task_end[tid] = end
 
-    makespan = max((max(map(attrgetter("t_end"), timeline)) if timeline else 0.0),
+    makespan = max((max(map(itemgetter(1), timeline)) if timeline else 0.0),
                    max(task_end.values(), default=0.0))
     per_family: dict[KernelFamily, float] = {}
     for fam in KernelFamily:
-        per_unit = [fams.get(fam, 0.0) for fams in busy.values()]
+        per_unit = [info[2].get(fam.value, 0.0) for info in unit_info.values()]
         if per_unit and max(per_unit) > 0:
             per_family[fam] = max(per_unit)
 
@@ -205,7 +208,8 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         mode.value: footprint_for_atoms(graph.system.n_atoms, arch, mode, fixture)
         for mode in PseudoMode
     }
-    timeline.sort(key=attrgetter("t_start", "t_end", "unit", "task_or_object"))
+    # by (t_start, t_end, unit, task_or_object)
+    timeline.sort(key=itemgetter(0, 1, 3, 4))
     return SimulationReport(
         makespan=makespan, per_family_time=per_family,
         overhead=OverheadBreakdown(dt, n_handoffs * cfg.cxt_s, n_handoffs),

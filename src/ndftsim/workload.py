@@ -128,7 +128,7 @@ class CalibrationFixture:
     syevd: FamilyCoefficients = FamilyCoefficients(9.0, 4000.0)
     footprint: FootprintParams = field(default_factory=FootprintParams)
     # Regression targets recorded with the fit (speedup vs cpu_only by n_atoms).
-    targets: dict[str, float] = field(default_factory=dict)
+    targets: dict[str, NonNegFloat] = field(default_factory=dict)
 
     @staticmethod
     def textbook() -> "CalibrationFixture":

@@ -195,6 +195,20 @@ def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, value", [("speedup_si_64", ".nan"),
+                                         ("max_overhead_fraction", "-5.0")])
+def test_cli_target_outside_its_domain_exits_2(tmp_path, config_file, name,
+                                               value):
+    doc = yaml.safe_load(config_file.read_text())
+    doc["workload"]["targets"][name] = yaml.safe_load(value)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert f"{name}: {value}" in bad.read_text()
+    proc = cli("validate", str(bad))
+    assert proc.returncode == EXIT_BAD_CONFIG, proc.stdout
+    assert proc.stdout == f"workload.targets.{name}: must be >= 0\n"
+
+
 def test_cli_run_prints_no_runtime_warning(config_file):
     # python -m ndftsim.cli must find ndftsim.cli not yet imported by the
     # package, or runpy warns on every invocation
@@ -368,3 +382,23 @@ def test_run_scenario_rebuilds_for_a_changed_mode_or_fixture(monkeypatch):
                                     (copy, fewer_groups, 3), (shared, fewer_groups, 4)):
         cli_module.run_scenario(scenario, cfg)
         assert len(builds) == n_builds, (scenario, n_builds)
+
+
+def test_run_scenario_keeps_the_plan_context_while_the_machine_is_equal(
+        monkeypatch):
+    builds = count_calls(monkeypatch, "build_taskgraph")
+    plans = count_calls(monkeypatch, "plan")
+    config = default_config()
+    ndp_only = Scenario(16, "ndp_only", seed=1)
+    hybrid = replace(ndp_only, policy="hybrid")
+    other_cxt = replace(config, machine=config.machine.with_cxt(1.0))
+    equal = replace(other_cxt, machine=replace(other_cxt.machine))
+    for scenario, cfg in ((ndp_only, config), (hybrid, config),
+                          (hybrid, other_cxt), (ndp_only, equal)):
+        cli_module.run_scenario(scenario, cfg)
+    assert len(builds) == 1  # one graph throughout
+    contexts = [kwargs["context"] for _, kwargs in plans]
+    assert contexts[1] is contexts[0]
+    assert contexts[2] is not contexts[1]  # a changed cxt_s
+    assert contexts[2].cfg == other_cxt.machine
+    assert contexts[3] is contexts[2]

@@ -1,17 +1,18 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ndftsim import scheduler
-from ndftsim.cli import default_config
+from ndftsim.cli import SHIPPED_SIZES, default_config
 from ndftsim.errors import CapacityError, DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MachineConfig, UnitClass, UnitRef)
-from ndftsim.scheduler import (Schedule, Transfer, _PlanState, plan,
-                               schedule_from_placements, scheduling_overhead,
-                               transfer_cost)
+from ndftsim.scheduler import (PlanContext, Schedule, Transfer, _PlanState,
+                               plan, schedule_from_placements,
+                               scheduling_overhead, transfer_cost)
 from ndftsim.simulator import simulate
 from ndftsim.workload import KernelFamily, build_taskgraph, derive_system
 from graphs import make_graph
@@ -400,3 +401,90 @@ def test_plan_lists_its_moves_on_first_read_only(monkeypatch, cfg, calibrated):
     assert calls == ["hybrid", "ndp_only"]
     with pytest.raises(AttributeError):
         schedule.no_such_field
+
+
+# -- one plan context shared by several plans ----------------------------------
+
+ORDERS = list(itertools.permutations(scheduler.POLICIES))
+
+
+def placements_or_error(graph, cfg, policy, context=None):
+    try:
+        return plan(graph, cfg, policy, context=context).placements
+    except CapacityError as exc:
+        return repr(exc)
+
+
+def assert_shared_plans_match_fresh(graph, cfg, label):
+    fresh = {p: placements_or_error(graph, cfg, p) for p in scheduler.POLICIES}
+    for order in ORDERS:
+        context = PlanContext(graph, cfg)
+        for policy in order:
+            assert placements_or_error(graph, cfg, policy, context) == \
+                fresh[policy], (label, order, policy)
+
+
+@pytest.mark.parametrize("n_atoms", SHIPPED_SIZES)
+def test_shared_context_plans_equal_fresh_plans_on_shipped_sizes(n_atoms):
+    config = default_config()
+    graph = build_taskgraph(derive_system(n_atoms, config.fixture),
+                            config.fixture)
+    assert_shared_plans_match_fresh(graph, config.machine, n_atoms)
+
+
+@pytest.mark.parametrize("cxt", [0.0, 5e-6, 1e-3, 100.0])
+def test_shared_context_plans_equal_fresh_plans_on_random_graphs(cxt):
+    cfg = small_cxt_config(cxt)
+    for seed in range(40):
+        graph = random_stage_graph(random.Random(seed))
+        assert_shared_plans_match_fresh(graph, cfg, seed)
+
+
+def test_shared_context_repeats_a_capacity_error(cfg):
+    # ndp_only memoizes "does not fit" for the first stage; the CPU still
+    # takes it under hybrid
+    graph = make_graph(
+        [{"id": "a_0", "flops": 1.0, "br": 8.0, "bw": 8.0,
+          "inputs": ("x",), "outputs": ("y",)},
+         {"id": "b_0", "flops": 1e9, "br": 8.0, "bw": 8.0,
+          "inputs": ("y",), "outputs": ("z",)}],
+        {"x": 2 * cfg.total_capacity, "y": 8, "z": 8})
+    assert isinstance(placements_or_error(graph, cfg, "ndp_only"), str)
+    assert_shared_plans_match_fresh(graph, cfg, "too big")
+
+
+def test_plan_refuses_a_context_of_another_graph_or_machine(cfg, calibrated):
+    graph = build_taskgraph(derive_system(16, calibrated), calibrated)
+    context = PlanContext(graph, cfg)
+    twin = build_taskgraph(derive_system(16, calibrated), calibrated)
+    with pytest.raises(DomainError, match="another graph"):
+        plan(twin, cfg, "hybrid", context=context)
+    with pytest.raises(DomainError, match="another machine"):
+        plan(graph, cfg.with_cxt(1.0), "hybrid", context=context)
+    assert context.memo == {}  # refused before planning
+    # an equal machine is accepted
+    assert plan(graph, dataclasses.replace(cfg), "hybrid",
+                context=context).placements == plan(graph, cfg).placements
+
+
+def test_ndp_pair_evaluates_each_prefix_and_class_once(monkeypatch,
+                                                       calibrated):
+    machine = default_config().machine
+    graph = build_taskgraph(derive_system(1024, calibrated), calibrated)
+    keys = []
+    original = _PlanState.evaluate_group
+
+    def recorded(self, members, cls):
+        keys.append((self.prefix, cls))
+        return original(self, members, cls)
+
+    monkeypatch.setattr(_PlanState, "evaluate_group", recorded)
+    for policy in ("ndp_only", "hybrid"):
+        plan(graph, machine, policy)
+    fresh = len(keys)
+    keys.clear()
+    context = PlanContext(graph, machine)
+    for policy in ("ndp_only", "hybrid"):
+        plan(graph, machine, policy, context=context)
+    assert len(keys) == len(set(keys))
+    assert len(keys) < fresh
