@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import sys
-from dataclasses import (KW_ONLY, MISSING, dataclass, field, is_dataclass,
-                         replace)
+from dataclasses import KW_ONLY, MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
@@ -29,7 +27,6 @@ from .simulator import SimulationReport, simulate
 from .workload import (CalibrationFixture, KernelFamily, SystemSpec,
                        build_taskgraph, derive_system)
 
-SEED_ENV = "NDFT_SIM_SEED"
 EXIT_BAD_CONFIG = 2
 EXIT_CAPACITY = 3
 
@@ -43,7 +40,6 @@ class Scenario:
     pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK
     _: KW_ONLY
     seed: NonNegInt  # required: no wall-clock defaults
-    exec_pseudo: bool = False
 
     @property
     def name(self) -> str:
@@ -98,10 +94,9 @@ def default_config(output_dir: str | Path = "out") -> ExperimentConfig:
 # inside a list.  A null leaf is an error unless its hint is ``T | None``.
 
 # leaf type -> (the Python types it accepts, what the error says it must be);
-# bool is an int subclass, so only a bool leaf accepts a bool
-_LEAVES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-           float: ((int, float), "a number"), str: ((str,), "a string"),
-           Path: ((str,), "a path string")}
+# no leaf is a bool, so a bool is refused though it is an int subclass
+_LEAVES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+           str: ((str,), "a string"), Path: ((str,), "a path string")}
 
 
 def _path(key: str, name) -> str:
@@ -128,8 +123,7 @@ def _from_doc(hint, node, key: str, base=None):
         return None if node is None else _from_doc(inner, node, key)
     if hint in _LEAVES:
         types, kind = _LEAVES[hint]
-        if not isinstance(node, types) or (isinstance(node, bool)
-                                           and hint is not bool):
+        if not isinstance(node, types) or isinstance(node, bool):
             raise ConfigurationError(f"must be {kind}, got {node!r}", key=key)
         return Path(node) if hint is Path else node
     if isinstance(hint, type) and issubclass(hint, Enum):
@@ -174,16 +168,7 @@ def _dataclass_from_doc(cls, node: dict, key: str, base):
 
 def config_from_doc(doc: dict) -> ExperimentConfig:
     """The config a parsed document describes; raises ConfigurationError."""
-    config = _from_doc(ExperimentConfig, doc, "", ExperimentConfig())
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(f"must be an integer, got {env_seed!r}",
-                                     key=SEED_ENV) from None
-        config.scenarios = [replace(sc, seed=seed) for sc in config.scenarios]
-    return config
+    return _from_doc(ExperimentConfig, doc, "", ExperimentConfig())
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -253,21 +238,25 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
         _last_graph = (key, graph, plan_context)
     schedule = plan(graph, config.machine, policy=scenario.policy,
                     context=plan_context)
-    report = simulate(schedule, graph, config.machine, config.fixture)
-    if scenario.exec_pseudo:
-        # Numeric verification on a desk-scale replica of the scenario.
-        mini = SystemSpec(n_atoms=min(scenario.n_atoms, 16),
-                          n_valence=8, n_conduction=8, n_grid=2048,
-                          n_processes=min(spec.n_processes, 16))
-        import numpy as np
-        from . import runtime
-        wf_a, _, _ = runtime.run_pseudopotential(
-            mini, PseudoMode.PER_PROCESS_COPY, scenario.seed, config.machine)
-        wf_b, _, _ = runtime.run_pseudopotential(
-            mini, PseudoMode.SHARED_BLOCK, scenario.seed, config.machine)
-        if not np.allclose(wf_a, wf_b, rtol=1e-12, atol=0.0):
-            raise NdftError(f"pseudopotential modes diverge in {scenario.name}")
-    return report
+    return simulate(schedule, graph, config.machine, config.fixture)
+
+
+def _check_pseudo_modes(scenario: Scenario, config: ExperimentConfig) -> None:
+    """Execute the numeric pseudopotential kernel in both modes on a
+    desk-scale replica of the scenario; NdftError if the outputs diverge."""
+    import numpy as np
+    from . import runtime
+    context = "cpu" if scenario.policy == "cpu_only" else "ndp"
+    spec = derive_system(scenario.n_atoms, config.fixture, context=context)
+    mini = SystemSpec(n_atoms=min(scenario.n_atoms, 16),
+                      n_valence=8, n_conduction=8, n_grid=2048,
+                      n_processes=min(spec.n_processes, 16))
+    wf_a, _, _ = runtime.run_pseudopotential(
+        mini, PseudoMode.PER_PROCESS_COPY, scenario.seed, config.machine)
+    wf_b, _, _ = runtime.run_pseudopotential(
+        mini, PseudoMode.SHARED_BLOCK, scenario.seed, config.machine)
+    if not np.allclose(wf_a, wf_b, rtol=1e-12, atol=0.0):
+        raise NdftError(f"pseudopotential modes diverge in {scenario.name}")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -331,9 +320,9 @@ def run_experiment(config: ExperimentConfig,
                                  key="scenarios")
     reports: dict[str, SimulationReport] = {}
     for sc in scenarios:
-        if exec_pseudo:
-            sc = replace(sc, exec_pseudo=True)
         report = run_scenario(sc, config)
+        if exec_pseudo:
+            _check_pseudo_modes(sc, config)
         reports[sc.name] = report
         _atomic_write(out_dir / f"report_{sc.name}.csv",
                       _scenario_report_csv(sc, report, config.machine))

@@ -339,20 +339,25 @@ class _PlanState:
         self.size = self.context.size
         self.obj_loc: dict[str, int] = dict(self.context.homes)
         self.obj_ready: dict[str, float] = dict.fromkeys(self.obj_loc, 0.0)
-        self.placements: dict[str, UnitRef] = {}
 
     def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":
-        """Clone with the assignment committed, for lookahead evaluation.
-
-        The clone equals what this state becomes after commit(members,
-        chosen), prefix included, so the memo serves the evaluations made on
-        it to the committed state too.
-        """
+        """The state after the group's assignment is committed, prefix
+        included; this state is left as it is."""
         clone = copy.copy(self)
-        clone.obj_loc = dict(self.obj_loc)
-        clone.obj_ready = dict(self.obj_ready)
-        clone.placements = {}
-        clone.commit(members, chosen)
+        # evaluate_group copies ndp_free before writing, so states and the
+        # memo may share the assignment's list
+        clone.ndp_free = chosen.ndp_free
+        clone.cpu_free = chosen.cpu_free
+        clone.link_free = chosen.link_free
+        clone.prefix = self.prefix + _CODE[chosen.cls]
+        clone.obj_loc = obj_loc = dict(self.obj_loc)
+        clone.obj_ready = obj_ready = dict(self.obj_ready)
+        for task in members:
+            loc = chosen.units[task.id].location()
+            end = chosen.ends[task.id]
+            for oid in task.outputs:
+                obj_loc[oid] = loc
+                obj_ready[oid] = end
         return clone
 
     def class_options(self, members: list) -> list[UnitClass]:
@@ -487,23 +492,6 @@ class _PlanState:
             out[cls] = memo[key]
         return out
 
-    def commit(self, members: list, chosen: _Assignment) -> None:
-        # evaluate_group copies ndp_free before writing, so states and the
-        # memo may share the assignment's list
-        self.ndp_free = chosen.ndp_free
-        self.cpu_free = chosen.cpu_free
-        self.link_free = chosen.link_free
-        self.prefix += _CODE[chosen.cls]
-        units, ends = chosen.units, chosen.ends
-        obj_loc, obj_ready = self.obj_loc, self.obj_ready
-        self.placements.update(units)
-        for task in members:
-            loc = units[task.id].location()
-            end = ends[task.id]
-            for oid in task.outputs:
-                obj_loc[oid] = loc
-                obj_ready[oid] = end
-
 
 def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
          context: PlanContext | None = None) -> Schedule:
@@ -543,6 +531,7 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
     if policy in ("hybrid", "ndp_only"):
         classes.append(UnitClass.NDP_UNIT)
     state = _PlanState(graph, cfg, classes, context)
+    placements: dict[str, UnitRef] = {}
 
     groups = context.groups
     for gi, (key, members) in enumerate(groups):
@@ -559,20 +548,23 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
             if best is not None and floor > best[0]:
                 break  # neither this class nor any later one can rank first
             score = floor[0]
+            after = None  # the state this class leaves, for the next group
             # One-group lookahead: a placement that strands its outputs on
             # the wrong side of the boundary must pay for it now.
             if nxt is not None:
-                follow = state.snapshot(members, assignment).evaluate_all(nxt)
+                after = state.snapshot(members, assignment)
+                follow = after.evaluate_all(nxt)
                 finishes = [max(assignment.completion, a.completion) + a.overhead
                             for a in follow.values() if a is not None]
                 if finishes:
                     score = min(finishes) + assignment.overhead
             rank = (score,) + floor[1:]
             if best is None or rank < best[0]:
-                best = (rank, assignment)
+                best = (rank, assignment, after)
         if best is None:
             raise CapacityError(
                 f"stage {key} fits on no permitted unit under policy {policy}")
-        state.commit(members, best[1])
+        _, chosen, state = best
+        placements.update(chosen.units)
 
-    return Schedule._deferred(policy, state.placements, graph, cfg)
+    return Schedule._deferred(policy, placements, graph, cfg)

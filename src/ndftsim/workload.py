@@ -306,7 +306,8 @@ def kernel_cost(family: KernelFamily, fixture: CalibrationFixture,
         payload = size["payload_bytes"]
         if payload < 0:
             raise DomainError("payload must be >= 0")
-        return 0.0, payload * co.byte_coef, payload * co.byte_coef
+        flops = co.flop_coef * payload
+        return flops, payload * co.byte_coef, payload * co.byte_coef
     if family is KernelFamily.SYEVD:
         n = size["n"]
         if n <= 0:

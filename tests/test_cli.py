@@ -6,11 +6,11 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from ndftsim import cli as cli_module
+from ndftsim import cli as cli_module, runtime
 from ndftsim.cli import (EXIT_BAD_CONFIG, EXIT_CAPACITY, Scenario,
                          config_to_doc, default_config, load_config,
                          run_experiment, validate_config, write_default_config)
-from ndftsim.errors import ConfigurationError
+from ndftsim.errors import ConfigurationError, NdftError
 from ndftsim.workload import CalibrationFixture, PseudoMode
 
 
@@ -104,18 +104,25 @@ def test_scenario_filter(tmp_path):
     assert list(reports) == ["si16_hybrid"]
 
 
-def test_seed_env_var_overrides_all_seeds(tmp_path, config_file, monkeypatch):
-    monkeypatch.setenv("NDFT_SIM_SEED", "7")
-    config = load_config(config_file)
-    assert {sc.seed for sc in config.scenarios} == {7}
-
-
 def test_exec_pseudo_runs_numeric_check(tmp_path):
-    doc = small_matrix_doc(tmp_path)
-    doc["scenarios"] = [dict(doc["scenarios"][0], exec_pseudo=True)]
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(doc))
-    run_experiment(load_config(path))  # raises if the modes diverge
+    config = default_config(tmp_path / "out")
+    # raises if the modes diverge
+    run_experiment(config, scenario_filter="si16_cpu_only", exec_pseudo=True)
+
+
+def test_exec_pseudo_names_the_scenario_whose_modes_diverge(tmp_path,
+                                                            monkeypatch):
+    original = runtime.run_pseudopotential
+
+    def skewed(spec, mode, *args, **kwargs):
+        wf, mem, comm = original(spec, mode, *args, **kwargs)
+        return (wf * (1 + 1e-9) if mode is PseudoMode.SHARED_BLOCK else wf,
+                mem, comm)
+
+    monkeypatch.setattr(runtime, "run_pseudopotential", skewed)
+    config = default_config(tmp_path / "out")
+    with pytest.raises(NdftError, match="modes diverge in si16_hybrid$"):
+        run_experiment(config, scenario_filter="si16_hybrid", exec_pseudo=True)
 
 
 def cli(*args, env=None):
@@ -124,6 +131,17 @@ def cli(*args, env=None):
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "ndftsim.cli", *args],
                           capture_output=True, text=True, env=full_env)
+
+
+def test_document_with_an_exec_pseudo_key_exits_2(tmp_path, config_file):
+    assert "exec_pseudo" not in config_file.read_text()
+    doc = yaml.safe_load(config_file.read_text())
+    doc["scenarios"][3]["exec_pseudo"] = False
+    old = tmp_path / "old.yaml"
+    old.write_text(yaml.safe_dump(doc))
+    proc = cli("validate", str(old))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stdout == "scenarios[3].exec_pseudo: unknown field\n"
 
 
 def test_cli_validate_ok(config_file):
@@ -151,6 +169,7 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     (("workload", "targets"), 3, "workload.targets"),
     (("workload", "targets"), {"speedup_si_64": "x"},
      "workload.targets.speedup_si_64"),
+    # a key of older documents: run --exec-pseudo replaced it
     (("scenarios", 0, "exec_pseudo"), "nope", "scenarios[0].exec_pseudo"),
     (("workload", "nv_per_atm"), 2, "workload.nv_per_atm"),
     (("machin",), {}, "machin: unknown field"),

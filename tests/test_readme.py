@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from typing import get_args, get_origin
 
 from ndftsim.cli import ExperimentConfig
 from test_config_doc import doc_hints
@@ -18,14 +19,18 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_config_table_lists_each_section_field():
-    """Each `<section>.*` row of the config table names exactly the fields
-    of that section's dataclass."""
-    rows = re.findall(r"^\| `([\w.]+)\.\*` \| (.*) \|$", README.read_text(), re.M)
+    """Each `<section>.*` row and the `scenarios[]` row of the config table
+    name exactly the fields of that section's dataclass, each in backticks;
+    values a field takes are written without them."""
+    rows = re.findall(r"^\| `([\w.]+)(?:\.\*|\[\])` \| (.*) \|$",
+                      README.read_text(), re.M)
     assert {key for key, _ in rows} == {
         "machine.cpu", "machine.ndp", "machine.hbm", "machine.interconnect",
-        "workload.footprint"}
+        "workload.footprint", "scenarios"}
     for key, meaning in rows:
         cls = ExperimentConfig
         for name in key.split("."):
             cls = doc_hints(cls)[name]
+        if get_origin(cls) is list:
+            cls, = get_args(cls)
         assert set(re.findall(r"`(\w+)`", meaning)) == set(doc_hints(cls)), key

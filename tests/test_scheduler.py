@@ -192,20 +192,26 @@ def test_chain_placement_matches_brute_force():
 
 def unpruned_hybrid_plan(graph, cfg) -> Schedule:
     """Reference for plan(policy="hybrid"): every class of every group runs
-    its full lookahead, and nothing is reused between groups."""
+    its full lookahead, and every group is evaluated afresh, past the memo."""
+    def evaluate_all(state, members):
+        return {cls: state.evaluate_group(members, cls)
+                for cls in state.class_options(members)}
+
     state = _PlanState(graph, cfg, [UnitClass.CPU, UnitClass.NDP_UNIT])
+    placements = {}
     groups: dict[str, list] = {}
     for tid in graph.topo_order():
         groups.setdefault(graph.task(tid).stage, []).append(graph.task(tid))
     groups = list(groups.values())
     for gi, members in enumerate(groups):
         best = None
-        for cls, a in state.evaluate_all(members).items():
+        for cls, a in evaluate_all(state, members).items():
             if a is None:
                 continue
+            after = state.snapshot(members, a)
             score = a.completion + a.overhead
             if gi + 1 < len(groups):
-                follow = state.snapshot(members, a).evaluate_all(groups[gi + 1])
+                follow = evaluate_all(after, groups[gi + 1])
                 finishes = [max(a.completion, f.completion) + f.overhead
                             for f in follow.values() if f is not None]
                 if finishes:
@@ -213,9 +219,10 @@ def unpruned_hybrid_plan(graph, cfg) -> Schedule:
             rank = (score, -a.input_bytes_resident,
                     0 if cls is UnitClass.CPU else 1)
             if best is None or rank < best[0]:
-                best = (rank, a)
-        state.commit(members, best[1])
-    return schedule_from_placements(graph, cfg, state.placements, "hybrid")
+                best = (rank, a, after)
+        _, chosen, state = best
+        placements.update(chosen.units)
+    return schedule_from_placements(graph, cfg, placements, "hybrid")
 
 
 def random_stage_graph(rng: random.Random):

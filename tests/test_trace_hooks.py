@@ -7,7 +7,6 @@ without any error.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -77,12 +76,12 @@ def test_run_scenario_goes_through_the_traced_names(monkeypatch):
         "ndftsim.simulator.pseudo_cost_trace"}
 
 
-def test_exec_pseudo_goes_through_runtime_run_pseudopotential(monkeypatch):
+def test_exec_pseudo_goes_through_runtime_run_pseudopotential(monkeypatch,
+                                                             tmp_path):
     calls: Counter = Counter()
     count_calls(monkeypatch, runtime, "run_pseudopotential", calls)
-    config = cli.default_config()
-    scenario = next(sc for sc in config.scenarios if sc.name == "si16_hybrid")
-    cli.run_scenario(replace(scenario, exec_pseudo=True), config)
+    config = cli.default_config(tmp_path / "out")
+    cli.run_experiment(config, scenario_filter="si16_hybrid", exec_pseudo=True)
     assert calls["ndftsim.runtime.run_pseudopotential"] == 2  # both modes
 
 

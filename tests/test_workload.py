@@ -82,6 +82,14 @@ def test_alltoall_and_syevd_forms(textbook):
     assert br + bw == 4000.0 * 16 ** 2 * 4
 
 
+def test_alltoall_flop_coef_reaches_the_exchange_task(calibrated):
+    fixture = replace(calibrated, alltoall=replace(calibrated.alltoall,
+                                                   flop_coef=2.0))
+    graph = build_taskgraph(derive_system(16, fixture), fixture)
+    payload = graph.data_objects["response"].size
+    assert graph.task("s6_alltoall").flops == 2.0 * payload > 0
+
+
 def test_other_family_has_no_cost_formula(textbook):
     with pytest.raises(DomainError, match="no cost formula"):
         kernel_cost(KernelFamily.OTHER, textbook, n=4)
