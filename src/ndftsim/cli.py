@@ -208,34 +208,32 @@ def write_default_config(path: str | Path) -> None:
 # -- experiment execution -----------------------------------------------------
 
 
-# The last graph run_scenario built, keyed by what it was built from: the
-# system, the pseudopotential mode and the fixture, with the plan context of
-# that graph and the last machine.  ndp_only and hybrid at one size share a
-# key, so the shipped matrix builds 14 graphs, not 21, and the pair shares
-# the planner's tables and group evaluations.
+# The plan context of the last graph run_scenario built, keyed by what both
+# were built from: the system, the pseudopotential mode, the fixture and the
+# machine.  ndp_only and hybrid at one size share a key, so the shipped
+# matrix builds 14 graphs, not 21, and the pair shares the planner's tables
+# and group evaluations.
 _last_graph: tuple | None = None
 
 
 def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationReport:
     """Build, plan, and simulate one scenario.
 
-    The graph is reused when the previous call built it from an equal
-    system, mode and fixture; plan() and simulate() leave a graph unchanged.
-    Its plan context is reused too while the machine stays equal.
+    The graph and its plan context are reused when the previous call built
+    them from an equal system, mode, fixture and machine; plan() and
+    simulate() leave a graph unchanged.
     """
     global _last_graph
     context = "cpu" if scenario.policy == "cpu_only" else "ndp"
     spec = derive_system(scenario.n_atoms, config.fixture, context=context)
-    key = (spec, scenario.pseudo_mode, config.fixture)
+    key = (spec, scenario.pseudo_mode, config.fixture, config.machine)
     if _last_graph is None or _last_graph[0] != key:
         _last_graph = None  # freed before the next graph is built
         graph = build_taskgraph(spec, config.fixture,
                                 pseudo_mode=scenario.pseudo_mode)
-        _last_graph = (key, graph, PlanContext(graph, config.machine))
-    _, graph, plan_context = _last_graph
-    if plan_context.cfg != config.machine:  # a changed machine, a fresh one
-        plan_context = PlanContext(graph, config.machine)
-        _last_graph = (key, graph, plan_context)
+        _last_graph = (key, PlanContext(graph, config.machine))
+    plan_context = _last_graph[1]
+    graph = plan_context.graph
     schedule = plan(graph, config.machine, policy=scenario.policy,
                     context=plan_context)
     return simulate(schedule, graph, config.machine, config.fixture)

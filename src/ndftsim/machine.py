@@ -40,6 +40,14 @@ CPU_SIDE = -1
 CPU_LIKE = (HOST, CPU_SIDE)
 
 
+def crosses_boundary(src: int, dst: int) -> bool:
+    """True for a move between the CPU side and a stack.
+
+    Loads of host-resident inputs are staging, not scheduling overhead.
+    """
+    return src != HOST and (src == CPU_SIDE) != (dst == CPU_SIDE)
+
+
 @dataclass(frozen=True)
 class CpuSpec:
     cores: PosInt = 8
@@ -294,7 +302,8 @@ class LinkModel:
     move occupies the mesh for 94.05 us uncontended.  This is part of
     the model's planner-vs-simulator gap, not an accident of either caller.
 
-    Paths are built on first use and kept, one per ordered endpoint pair.
+    Paths and move records are built on first use and kept, one per ordered
+    endpoint pair.
     """
 
     CPU_LINK_ID = 0
@@ -306,11 +315,22 @@ class LinkModel:
         # the CPU link, then four directed links (+x, -x, +y, -y) per stack
         self.n_links = 1 + 4 * self.total_stacks
         self._paths: dict[tuple[int, int], Path] = {}
+        self._moves: dict[tuple[int, int], tuple[Path | None, bool]] = {}
 
     def path(self, src: int, dst: int) -> Path:
         found = self._paths.get((src, dst))
         if found is None:
             found = self._paths[(src, dst)] = self._build(src, dst)
+        return found
+
+    def move(self, src: int, dst: int) -> tuple[Path | None, bool]:
+        """(path, crosses_boundary) of a move; (None, False) if in place."""
+        found = self._moves.get((src, dst))
+        if found is None:
+            path = self.path(src, dst)
+            found = self._moves[(src, dst)] = (
+                (None, False) if path.kind is PathKind.LOCAL
+                else (path, crosses_boundary(src, dst)))
         return found
 
     def _build(self, src: int, dst: int) -> Path:

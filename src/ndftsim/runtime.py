@@ -80,15 +80,6 @@ class BlockDirectory:
             raise DataError(f"atom {atom_id} already registered")
         self._entries[atom_id] = entry
 
-    def lookup(self, atom_id: int) -> DirectoryEntry:
-        try:
-            return self._entries[atom_id]
-        except KeyError:
-            raise UnknownBlockError(f"atom {atom_id} not in directory") from None
-
-    def __contains__(self, atom_id: int) -> bool:
-        return atom_id in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -346,13 +337,14 @@ def run_pseudopotential(spec: SystemSpec, mode: PseudoMode, seed: int,
 
     Atoms are distributed round-robin over processes, and so are the
     wavefunctions.  In shared-block mode owners pack their atoms into shared
-    memory, everyone else resolves addresses through the directory, and all
-    access flows through the read_local/read_remote primitives.  The update
-    goes atom by atom: each reader stack (reader_stacks) reads the block once
-    per wavefunction its processes own, and the block is decoded once and
-    applied to all wavefunctions with one stacked gemv.  In per-process-copy
-    mode every process keeps a private copy of every block; its wavefunction
-    output is the oracle the shared mode must match.
+    memory and register each block in the directory; readers hold the
+    allocator's SharedBlock handles, and all access flows through the
+    read_local/read_remote primitives.  The update goes atom by atom: each
+    reader stack (reader_stacks) reads the block once per wavefunction its
+    processes own, and the block is decoded once and applied to all
+    wavefunctions with one stacked gemv.  In per-process-copy mode every
+    process keeps a private copy of every block; its wavefunction output is
+    the oracle the shared mode must match.
     """
     spec.validate()
     if spec.n_atoms > 64 or spec.n_grid > 16384:

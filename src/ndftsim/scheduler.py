@@ -16,17 +16,23 @@ from __future__ import annotations
 import copy
 import csv
 import io
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
-from .machine import (CPU_SIDE, HOST, LOCAL_PATH, MachineConfig, Path,
-                      PathKind, UnitClass, UnitRef)
+from .machine import (CPU_SIDE, HOST, MachineConfig, PathKind, UnitClass,
+                      UnitRef, crosses_boundary)
 from .workload import KernelDescriptor, KernelFamily, TaskGraph
 
-POLICIES = ("hybrid", "cpu_only", "ndp_only")
+# the unit classes each policy may place a stage group on
+_POLICY_CLASSES = {
+    "hybrid": (UnitClass.CPU, UnitClass.NDP_UNIT),
+    "cpu_only": (UnitClass.CPU,),
+    "ndp_only": (UnitClass.NDP_UNIT,),
+}
+POLICIES = tuple(_POLICY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -40,14 +46,6 @@ class Transfer:
     @property
     def crosses_boundary(self) -> bool:
         return crosses_boundary(self.src, self.dst)
-
-
-def crosses_boundary(src: int, dst: int) -> bool:
-    """True for a move between the CPU side and a stack.
-
-    Loads of host-resident inputs are staging, not scheduling overhead.
-    """
-    return src != HOST and (src == CPU_SIDE) != (dst == CPU_SIDE)
 
 
 @dataclass(frozen=True)
@@ -160,21 +158,18 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
 
     This is the one rule for where data comes from and whether it moves.  An
     input comes from its producer's location, or else from its object's
-    home; it moves unless it is already in place (same endpoint, or host
-    memory read from the CPU side).  All-to-all tasks exchange their
-    partitions in place, so their inputs never move here.  A move crosses
-    the CPU/NDP boundary by crosses_boundary; each crossing of task-produced
-    data is one handoff.  A task not placed on a UnitRef, or an input with
-    neither a producer nor a home, is a ScheduleError; a unit outside the
-    machine is a DomainError.
+    home; whether it moves, and whether the move crosses the CPU/NDP
+    boundary, is the machine's move record (LinkModel.move).  All-to-all
+    tasks exchange their partitions in place, so their inputs never move
+    here.  Each crossing of task-produced data is one handoff.  A task not
+    placed on a UnitRef, or an input with neither a producer nor a home, is
+    a ScheduleError; a unit outside the machine is a DomainError.
     """
-    path_of = cfg.links.path
+    move_of = cfg.links.move
     producers = graph.producers
     objects = graph.data_objects
     unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
-    in_place = (None, False)
-    route: dict[tuple[int, int], tuple[Path | None, bool]] = {}  # by (src, dst)
     for tid in graph.topo_order():
         task = graph.task(tid)
         unit = placements.get(tid)
@@ -192,14 +187,7 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
             src = obj.initial_location if producer is None else location[producer]
             if src is None:
                 raise ScheduleError(f"object {oid} has no producer or home")
-            move = in_place
-            if stages and src != dst:
-                move = route.get((src, dst))
-                if move is None:
-                    path = path_of(src, dst)
-                    move = route[(src, dst)] = (
-                        in_place if path.kind is PathKind.LOCAL
-                        else (path, crosses_boundary(src, dst)))
+            move = move_of(src, dst) if stages else (None, False)
             inputs.append((oid, obj.size, producer, src) + move)
         yield task, unit, dst, inputs
 
@@ -251,14 +239,15 @@ _CODE = {UnitClass.CPU: "c", UnitClass.NDP_UNIT: "n"}
 class PlanContext:
     """What plan() derives from one graph and one machine alone.
 
-    That is the object sizes, the stage groups, the duration table of each
-    class (filled the first time the class is planned), whether each task
-    fits in NDP memory (built the first time an NDP class is evaluated, so
-    a cpu_only plan never builds it), and a memo of group evaluations keyed
-    by (classes committed so far, class).  A task's roofline time depends
-    only on its unit class and its (flops, bytes read, bytes written) shape,
-    so a duration table holds one estimate per distinct shape and serves
-    every candidate unit.
+    That is the object sizes, the homes of the objects no task produces (a
+    produced object comes from its producer, as in placed_moves), the stage
+    groups, the duration table of each class (filled the first time the
+    class is planned), whether each task fits in NDP memory (built the first
+    time an NDP class is evaluated, so a cpu_only plan never builds it), and
+    a memo of group evaluations keyed by (classes committed so far, class).
+    A task's roofline time depends only on its unit class and its (flops,
+    bytes read, bytes written) shape, so a duration table holds one
+    estimate per distinct shape and serves every candidate unit.
 
     Plans of any policy may share a context.  The memo is exact: a group
     evaluation reads only the plan state's cursors, and those are a
@@ -272,7 +261,8 @@ class PlanContext:
         self.size = {oid: obj.size for oid, obj in graph.data_objects.items()}
         self.homes = {oid: obj.initial_location
                       for oid, obj in graph.data_objects.items()
-                      if obj.initial_location is not None}
+                      if obj.initial_location is not None
+                      and oid not in graph.producers}
         # consecutive tasks of one stage are placed as one group
         self.groups: list[tuple[str, list]] = []
         for task in graph.tasks:
@@ -315,29 +305,20 @@ class _PlanState:
     """Unit, link and data cursors of a partial plan, and the prefix of
     classes committed so far, one letter per group.
 
-    The per-graph facts live in a PlanContext shared by all snapshots, and
-    by other plans when the caller passes one in; without one the state
-    builds its own.  The cursors are a function of the prefix, which is
-    what lets evaluate_all read group evaluations from the context's memo.
+    The per-graph facts live in the PlanContext shared by all snapshots,
+    and by other plans of that context.  The cursors are a function of the
+    prefix, which is what lets evaluate_all read group evaluations from the
+    context's memo.
     """
 
-    def __init__(self, graph: TaskGraph, cfg: MachineConfig,
-                 classes: list[UnitClass], context: PlanContext | None = None):
-        self.context = context or PlanContext(graph, cfg)
-        self.graph = graph
-        self.cfg = cfg
+    def __init__(self, context: PlanContext, classes: Sequence[UnitClass]):
+        self.context = context
         self.classes = classes
         self.prefix = ""
-        self.cpu = UnitRef.cpu()
-        self.ups = cfg.ndp.units_per_stack
-        self.ndp_units = self.context.ndp_units
-        self.ndp_loc = self.context.ndp_loc
-        self.ndp_free = [0.0] * len(self.ndp_units)
+        self.ndp_free = [0.0] * len(context.ndp_units)
         self.cpu_free = 0.0
         self.link_free = 0.0  # CPU link cursor for staging serialization
-        self.path = cfg.links.path
-        self.size = self.context.size
-        self.obj_loc: dict[str, int] = dict(self.context.homes)
+        self.obj_loc: dict[str, int] = dict(context.homes)
         self.obj_ready: dict[str, float] = dict.fromkeys(self.obj_loc, 0.0)
 
     def snapshot(self, members: list, chosen: _Assignment) -> "_PlanState":
@@ -360,17 +341,18 @@ class _PlanState:
                 obj_ready[oid] = end
         return clone
 
-    def class_options(self, members: list) -> list[UnitClass]:
+    def class_options(self, members: list) -> Sequence[UnitClass]:
         if members[0].family is KernelFamily.ALLTOALL and len(self.classes) > 1:
             # A collective runs where its partitions live; it is not a
             # placement choice the boundary can hide behind.
+            size = self.context.size
             ndp_bytes = cpu_bytes = 0
             for task in members:
                 for oid in task.inputs:
                     if self.obj_loc.get(oid, HOST) >= 0:
-                        ndp_bytes += self.size[oid]
+                        ndp_bytes += size[oid]
                     else:
-                        cpu_bytes += self.size[oid]
+                        cpu_bytes += size[oid]
             return [UnitClass.NDP_UNIT if ndp_bytes > cpu_bytes
                     else UnitClass.CPU]
         return self.classes
@@ -379,25 +361,30 @@ class _PlanState:
                      ) -> tuple[float, float, float]:
         """Arrival time of the task's inputs at dst.
 
-        Returns (data_ready, new link cursor, crossing overhead).  All-to-all
-        tasks exchange in place and stage nothing.
+        Returns (data_ready, new link cursor, crossing overhead).  An input
+        moves and crosses the boundary as in placed_moves (LinkModel.move;
+        never for an all-to-all).  An input produced in the task's own stage
+        group is a ScheduleError.
         """
+        context = self.context
+        move_of = context.cfg.links.move
+        cxt_s = context.cfg.cxt_s
+        producers = context.graph.producers
+        stages = task.family is not KernelFamily.ALLTOALL
         overhead = 0.0
         data_ready = 0.0
-        if task.family is KernelFamily.ALLTOALL:
-            for oid in task.inputs:
-                data_ready = max(data_ready, self.obj_ready.get(oid, 0.0))
-            return data_ready, link_free, overhead
-        cfg = self.cfg
         for oid in task.inputs:
-            if oid not in self.obj_loc:
-                raise ScheduleError(f"object {oid} consumed before production")
-            src = self.obj_loc[oid]
+            src = self.obj_loc.get(oid)
+            if src is None:
+                producer = producers.get(oid)
+                raise ScheduleError(
+                    f"object {oid} has no producer or home" if producer is None
+                    else f"task {task.id} reads {oid}, which {producer} "
+                    "produces in the same stage group")
             avail = self.obj_ready[oid]
-            # most inputs are already in place: skip the lookup for those
-            path = LOCAL_PATH if src == dst else self.path(src, dst)
-            if path.kind is not PathKind.LOCAL:
-                dt = path.seconds(self.size[oid])
+            path, crossing = move_of(src, dst) if stages else (None, False)
+            if path is not None:
+                dt = path.seconds(context.size[oid])
                 if path.kind is PathKind.CPU_LINK:
                     # the CPU link is a serialized resource
                     start = max(avail, link_free)
@@ -405,10 +392,9 @@ class _PlanState:
                     avail = link_free
                 else:
                     avail += dt
-                produced = oid in self.graph.producers
-                if produced and (src == CPU_SIDE) != (dst == CPU_SIDE):
-                    overhead += dt + cfg.cxt_s
-                    avail += cfg.cxt_s  # receiving side stalls for the handoff
+                if crossing and oid in producers:
+                    overhead += dt + cxt_s
+                    avail += cxt_s  # receiving side stalls for the handoff
             data_ready = max(data_ready, avail)
         return data_ready, link_free, overhead
 
@@ -422,10 +408,15 @@ class _PlanState:
         Returns None if some task fits on no unit of the class.  The state
         itself is not modified.
         """
-        duration = self.context.duration(cls)
-        fits_ndp = None if cls is UnitClass.CPU else self.context.fits_ndp
+        context = self.context
+        duration = context.duration(cls)
+        fits_ndp = None if cls is UnitClass.CPU else context.fits_ndp
+        ndp_units = context.ndp_units
+        ndp_loc = context.ndp_loc
+        ups = context.cfg.ndp.units_per_stack
+        size = context.size
+        cpu = UnitRef.cpu()
         obj_loc = self.obj_loc
-        size = self.size
         ndp_free = list(self.ndp_free)
         cpu_free = self.cpu_free
         link_free = self.link_free
@@ -449,21 +440,21 @@ class _PlanState:
                 largest = max(((size[o], obj_loc.get(o, HOST))
                                for o in task.inputs), default=(0, HOST))
                 if largest[1] >= 0:
-                    lo = largest[1] * self.ups
-                    window = ndp_free[lo:lo + self.ups]
+                    lo = largest[1] * ups
+                    window = ndp_free[lo:lo + ups]
                     local = lo + window.index(min(window))
                     if local != least:
                         candidates.append(local)
                 best = None
                 for i in candidates:
                     ready, lf_i, ovh_i = self.stage_inputs(
-                        task, self.ndp_loc[i], link_free)
-                    row = (max(ndp_free[i], ready) + dur, i, self.ndp_loc[i],
+                        task, ndp_loc[i], link_free)
+                    row = (max(ndp_free[i], ready) + dur, i, ndp_loc[i],
                            lf_i, ovh_i)
                     if best is None or row[:2] < best[:2]:
                         best = row
                 eft, idx, loc, lf, ovh = best
-            units[task.id] = self.cpu if idx < 0 else self.ndp_units[idx]
+            units[task.id] = cpu if idx < 0 else ndp_units[idx]
             ends[task.id] = eft
             if idx < 0:
                 cpu_free = eft
@@ -517,7 +508,8 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
     one of them is first read, so a plan that goes straight to simulate()
     walks the placements once, there.
     """
-    if policy not in POLICIES:
+    classes = _POLICY_CLASSES.get(policy)
+    if classes is None:
         raise DomainError(f"unknown policy {policy!r}")
     if context is None:
         context = PlanContext(graph, cfg)
@@ -525,12 +517,7 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
         raise DomainError("plan context was built for another graph")
     elif context.cfg != cfg:
         raise DomainError("plan context was built for another machine")
-    classes = []
-    if policy in ("hybrid", "cpu_only"):
-        classes.append(UnitClass.CPU)
-    if policy in ("hybrid", "ndp_only"):
-        classes.append(UnitClass.NDP_UNIT)
-    state = _PlanState(graph, cfg, classes, context)
+    state = _PlanState(context, classes)
     placements: dict[str, UnitRef] = {}
 
     groups = context.groups

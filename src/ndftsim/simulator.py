@@ -195,8 +195,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         timeline.append(TimelineEvent(start, end, "task", name, tid))
         task_end[tid] = end
 
-    makespan = max((max(map(itemgetter(1), timeline)) if timeline else 0.0),
-                   max(task_end.values(), default=0.0))
+    makespan = max(map(itemgetter(1), timeline), default=0.0)
     per_family: dict[KernelFamily, float] = {}
     for fam in KernelFamily:
         per_unit = [info[2].get(fam.value, 0.0) for info in unit_info.values()]

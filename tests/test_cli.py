@@ -415,7 +415,7 @@ def test_run_scenario_keeps_the_plan_context_while_the_machine_is_equal(
     for scenario, cfg in ((ndp_only, config), (hybrid, config),
                           (hybrid, other_cxt), (ndp_only, equal)):
         cli_module.run_scenario(scenario, cfg)
-    assert len(builds) == 1  # one graph throughout
+    assert len(builds) == 2  # a changed machine rebuilds the graph
     contexts = [kwargs["context"] for _, kwargs in plans]
     assert contexts[1] is contexts[0]
     assert contexts[2] is not contexts[1]  # a changed cxt_s

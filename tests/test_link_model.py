@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ndftsim.errors import DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MIB, MachineConfig, PathKind,
-                             UnitRef)
+                             UnitRef, crosses_boundary)
 from ndftsim.runtime import PseudoMode, pseudo_cost_trace
 from ndftsim.scheduler import plan, schedule_from_placements, transfer_cost
 from ndftsim.simulator import _occupy, simulate
@@ -128,6 +128,23 @@ def test_routes_go_x_then_y_over_distinct_links():
     assert max(ids) < links.n_links
     assert links.path(HOST, CPU_SIDE).kind is PathKind.LOCAL
     assert links.path(CPU_SIDE, 7).route == (links.CPU_LINK_ID,)
+
+
+@pytest.mark.parametrize("mesh", [(1, 1), (2, 3), (4, 4)],
+                         ids=["1x1", "2x3", "4x4"])
+def test_move_record_is_the_path_and_its_crossing(mesh):
+    cfg = mesh_config(*mesh)
+    links = cfg.links
+    ends = [HOST, CPU_SIDE] + list(range(cfg.total_stacks))
+    for src in ends:
+        for dst in ends:
+            path = links.path(src, dst)
+            record = links.move(src, dst)
+            if path.kind is PathKind.LOCAL:
+                assert record == (None, False), (src, dst)
+            else:
+                assert record == (path, crosses_boundary(src, dst)), (src, dst)
+            assert links.move(src, dst) is record
 
 
 @pytest.mark.parametrize("src, dst", [(0, 16), (99, 0), (HOST - 1, 0),

@@ -197,7 +197,8 @@ def unpruned_hybrid_plan(graph, cfg) -> Schedule:
         return {cls: state.evaluate_group(members, cls)
                 for cls in state.class_options(members)}
 
-    state = _PlanState(graph, cfg, [UnitClass.CPU, UnitClass.NDP_UNIT])
+    state = _PlanState(PlanContext(graph, cfg),
+                       [UnitClass.CPU, UnitClass.NDP_UNIT])
     placements = {}
     groups: dict[str, list] = {}
     for tid in graph.topo_order():

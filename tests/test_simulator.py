@@ -180,6 +180,28 @@ def test_alltoall_input_without_producer_or_home_is_schedule_error(
         schedule_from_placements(graph, cfg, placements)
     with pytest.raises(ScheduleError, match="p has no producer or home"):
         simulate(Schedule("manual", placements, []), graph, cfg, calibrated)
+    with pytest.raises(ScheduleError, match="p has no producer or home"):
+        plan(graph, cfg, "hybrid")
+
+
+@pytest.mark.parametrize("x_home", [set(), {"x"}], ids=["no_home", "host"])
+def test_plan_names_a_read_of_an_output_of_the_same_stage_group(
+        cfg, calibrated, x_home):
+    # a produced object comes from its producer, whatever its home
+    graph = make_graph(
+        [{"id": "s1_a", "flops": 1.0, "br": 8.0, "bw": 8.0,
+          "inputs": ("i",), "outputs": ("x",)},
+         {"id": "s1_b", "flops": 1.0, "br": 8.0, "bw": 8.0,
+          "inputs": ("x",), "outputs": ("y",)}],
+        {"i": 8, "x": 8, "y": 8}, host_objects=x_home)
+    # a valid graph: the walk runs it under any placement
+    placements = {"s1_a": UnitRef.ndp(0, 0), "s1_b": UnitRef.ndp(0, 0)}
+    simulate(Schedule("manual", placements, []), graph, cfg, calibrated)
+    for policy in ("hybrid", "cpu_only", "ndp_only"):
+        with pytest.raises(ScheduleError,
+                           match="task s1_b reads x, which s1_a produces "
+                                 "in the same stage group"):
+            plan(graph, cfg, policy)
 
 
 def test_makespan_monotone_in_cxt(cfg, calibrated):
