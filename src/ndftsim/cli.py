@@ -211,8 +211,8 @@ def write_default_config(path: str | Path) -> None:
 # The plan context of the last graph run_scenario built, keyed by what both
 # were built from: the system, the pseudopotential mode, the fixture and the
 # machine.  ndp_only and hybrid at one size share a key, so the shipped
-# matrix builds 14 graphs, not 21, and the pair shares the planner's tables
-# and group evaluations.
+# matrix builds 14 graphs, not 21, and the pair shares the planner's tables,
+# its group evaluations and the simulated prefix where its placements agree.
 _last_graph: tuple | None = None
 
 
@@ -221,7 +221,9 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
 
     The graph and its plan context are reused when the previous call built
     them from an equal system, mode, fixture and machine; plan() and
-    simulate() leave a graph unchanged.
+    simulate() leave a graph unchanged.  simulate() runs on the context
+    too, so it resumes from the previous call's run where the placements
+    agree.
     """
     global _last_graph
     context = "cpu" if scenario.policy == "cpu_only" else "ndp"
@@ -236,7 +238,8 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig) -> SimulationRepo
     graph = plan_context.graph
     schedule = plan(graph, config.machine, policy=scenario.policy,
                     context=plan_context)
-    return simulate(schedule, graph, config.machine, config.fixture)
+    return simulate(schedule, graph, config.machine, config.fixture,
+                    context=plan_context)
 
 
 def _check_pseudo_modes(scenario: Scenario, config: ExperimentConfig) -> None:

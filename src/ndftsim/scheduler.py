@@ -148,9 +148,12 @@ def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreak
 
 
 def placed_moves(graph: TaskGraph, cfg: MachineConfig,
-                 placements: dict[str, UnitRef],
+                 placements: dict[str, UnitRef], start: int = 0,
                  ) -> Iterator[tuple[KernelDescriptor, UnitRef, int, list[tuple]]]:
-    """Yield (task, unit, location, inputs) for every task, in ``topo_order()``.
+    """Yield (task, unit, location, inputs) for every task, in ``topo_order()``,
+    from task ``start`` on.  The tasks before it are placed (their units
+    checked and their locations noted for their consumers) but not yielded,
+    and their inputs are not built.
 
     ``inputs`` holds one plain tuple per input (a matrix pass builds about
     450,000): (object id, bytes, producer or None, source location, path or
@@ -170,8 +173,7 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
     objects = graph.data_objects
     unit_loc: dict[UnitRef, int] = {}
     location: dict[str, int] = {}
-    for tid in graph.topo_order():
-        task = graph.task(tid)
+    for i, tid in enumerate(graph.topo_order()):
         unit = placements.get(tid)
         if not isinstance(unit, UnitRef):
             raise ScheduleError(f"task {tid} is not placed on a unit: {unit!r}")
@@ -179,6 +181,9 @@ def placed_moves(graph: TaskGraph, cfg: MachineConfig,
             unit.check_against(cfg)
             unit_loc[unit] = unit.location()
         dst = location[tid] = unit_loc[unit]
+        if i < start:
+            continue
+        task = graph.task(tid)
         stages = task.family is not KernelFamily.ALLTOALL
         inputs = []
         for oid in task.inputs:
@@ -276,6 +281,17 @@ class PlanContext:
         self.ndp_loc = [u.location() for u in self.ndp_units]
         self.memo: dict[tuple[str, UnitClass], _Assignment | None] = {}
         self._durations: dict[UnitClass, dict[str, float]] = {}
+        # simulate()'s record of its last run on this context, which the
+        # next simulate() on it may resume from
+        self.last_run = None
+
+    def check(self, graph: TaskGraph, cfg: MachineConfig) -> None:
+        """DomainError unless this context was built for the graph and an
+        equal machine."""
+        if self.graph is not graph:
+            raise DomainError("plan context was built for another graph")
+        if self.cfg != cfg:
+            raise DomainError("plan context was built for another machine")
 
     def duration(self, cls: UnitClass) -> dict[str, float]:
         """Task id -> seconds on one unit of the class."""
@@ -513,10 +529,8 @@ def plan(graph: TaskGraph, cfg: MachineConfig, policy: str = "hybrid",
         raise DomainError(f"unknown policy {policy!r}")
     if context is None:
         context = PlanContext(graph, cfg)
-    elif context.graph is not graph:
-        raise DomainError("plan context was built for another graph")
-    elif context.cfg != cfg:
-        raise DomainError("plan context was built for another machine")
+    else:
+        context.check(graph, cfg)
     state = _PlanState(context, classes)
     placements: dict[str, UnitRef] = {}
 

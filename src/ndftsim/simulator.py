@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -19,7 +21,7 @@ from .analyzer import estimate_time
 from .costmodel import Arch, CommStats, PseudoMode, footprint_for_atoms, pseudo_cost_trace
 from .errors import DomainError
 from .machine import LinkModel, MachineConfig, Path, PathKind, UnitClass, UnitRef
-from .scheduler import OverheadBreakdown, Schedule, placed_moves
+from .scheduler import OverheadBreakdown, PlanContext, Schedule, placed_moves
 from .workload import CalibrationFixture, KernelFamily, TaskGraph
 
 
@@ -59,6 +61,20 @@ class SimulationReport:
         return out.getvalue()
 
 
+# The state a task can overwrite, saved before task ``index`` runs: the link
+# FIFOs, the unit cursors, each unit's busy seconds per family value, the
+# CommStats, the bytes moved, the overhead sums and the event count.  Plain
+# named tuples, as a typed class costs the import more than it gives here.
+_Checkpoint = namedtuple("_Checkpoint", "index free unit_free busy comm "
+                         "transferred dt n_handoffs n_events")
+# A simulate() run kept on its plan context to be resumed from: its fixture,
+# whether an update task ran on NDP, a copy of each task's placement in list
+# order, the pseudopotential gate, the task ends and the events in run order
+# (never handed out), and its checkpoints in order.
+_Run = namedtuple("_Run", "fixture has_ndp_pseudo placed pseudo_gate "
+                  "task_end timeline checkpoints")
+
+
 def _occupy(free: list[float], path: Path, n_bytes: float, ready: float,
             hop: float) -> tuple[float, float]:
     """Serialize one move over its route's link FIFOs; returns (start, end).
@@ -83,7 +99,8 @@ def _occupy(free: list[float], path: Path, n_bytes: float, ready: float,
 
 
 def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
-             fixture: CalibrationFixture) -> SimulationReport:
+             fixture: CalibrationFixture,
+             context: PlanContext | None = None) -> SimulationReport:
     """Run the event model and report makespan, breakdowns, and traffic.
 
     Only the schedule's placements and policy are read: the moves, the
@@ -93,61 +110,122 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     object's producer ends (at 0 for an object read from its home); a task
     starts once its unit is free and its inputs have arrived, and then waits
     out its boundary handoffs.
+
+    ``context`` is the PlanContext the schedule was planned on; one built
+    for another graph, or for a machine that is not equal, is a DomainError.
+    A run on a context saves its state at the start of each of the
+    context's stage groups and keeps it there.  The next run on the context
+    resumes from the last saved group start at or before its first task
+    placed differently, instead of replaying the prefix.  Every saved float
+    is restored, not recomputed, so the report is the one a run from t = 0
+    gives.  A resume needs all three of:
+
+    1. a fixture equal to the kept run's: the fetch replay and the
+       pseudopotential gate depend on it;
+    2. an update task on NDP in both runs or in neither: only then are the
+       fetches replayed, before every task;
+    3. placements that agree task by task, in list order, up to that group
+       start.  The kept run holds a copy, so a schedule changed since is
+       compared as it is now.
+
+    Otherwise the run starts from t = 0, as it does without a context.
     """
     placements = schedule.placements
     links = cfg.links
     hop = links.hop
-    free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
-    unit_free: dict[UnitRef, float] = {}
+    placed = [placements.get(t.id) for t in graph.tasks]
+    # the walk below raises for a task without a UnitRef placement
+    has_ndp_pseudo = any(
+        getattr(u, "cls", None) is UnitClass.NDP_UNIT
+        for t, u in zip(graph.tasks, placed) if t.family is KernelFamily.PSEUDO)
+    # estimate_time depends only on the unit class and the task's (flops,
+    # bytes read, bytes written) shape
+    durations: dict[UnitClass, dict[tuple, float]] = {}
     # per unit: its name, its class's duration cache and its busy seconds
     # per family value.  A UnitRef's hash is precomputed, while an Enum key
     # would hash in Python on every task.
     unit_info: dict[UnitRef, tuple[str, dict, dict[str, float]]] = {}
-    timeline: list[TimelineEvent] = []
-    comm = CommStats()
-    transferred = 0
+    # the kept run's checkpoints up to the one this run resumes from
+    checkpoints: list[_Checkpoint] = []
+    if context is not None:
+        context.check(graph, cfg)
+        kept, context.last_run = context.last_run, None
+        if (kept is not None and kept.fixture == fixture
+                and kept.has_ndp_pseudo == has_ndp_pseudo):
+            differs = next((i for i, (a, b) in enumerate(zip(placed, kept.placed))
+                            if a != b), len(placed))
+            checkpoints = [cp for cp in kept.checkpoints if cp.index <= differs]
+    if checkpoints:
+        cp = checkpoints[-1]
+        free = list(cp.free)
+        unit_free = dict(cp.unit_free)
+        for u, busy in cp.busy.items():
+            unit_info[u] = (str(u), durations.setdefault(u.cls, {}), dict(busy))
+        comm = replace(cp.comm)
+        transferred, dt, n_handoffs = cp.transferred, cp.dt, cp.n_handoffs
+        # both are appended to once per event or task, in run order
+        timeline = kept.timeline[:cp.n_events]
+        task_end = dict(islice(kept.task_end.items(), cp.index))
+        pseudo_gate = kept.pseudo_gate  # fixed once the fetch replay ends
+        first = cp.index
+        kept = None  # drop the rest of the kept run now
+    else:
+        free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
+        unit_free: dict[UnitRef, float] = {}
+        timeline: list[TimelineEvent] = []
+        comm = CommStats()
+        transferred = 0
+        dt = 0  # summed in the order, and from the int 0, of scheduling_overhead
+        n_handoffs = 0
+        task_end: dict[str, float] = {}
+        pseudo_gate: dict[int, float] = {}
+        first = 0
+        # Pseudopotential distribution traffic precedes the update tasks; it
+        # is replayed and counted only if an update task runs on an NDP unit.
+        trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
+        if has_ndp_pseudo:
+            comm.merge(trace.comm)
+            # Fetches run stack to stack, all ready at 0, over mesh routes.
+            # The trace repeats a few (src, dst, bytes) rows, so each row is
+            # routed and labelled once.  The replay is _occupy's mesh case,
+            # inlined with max() spelled out (it runs once per fetch and
+            # link): `b if b > a else a` is what max(a, b) returns, so every
+            # float is the same.
+            rows: dict[tuple[int, int, int], tuple] = {}
+            for fetch in trace.fetches:
+                src, dst, n_bytes = fetch
+                row = rows.get(fetch)
+                if row is None:
+                    path = links.path(src, dst)
+                    row = rows[fetch] = (path.route, n_bytes / path.bw + hop,
+                                         path.name, f"pseudo_block:{src}->{dst}")
+                route, step, name, label = row
+                end = 0.0
+                for link in route:
+                    queued = free[link]
+                    start = queued if queued > end else end
+                    free[link] = end = start + step
+                gate = pseudo_gate.get(dst, 0.0)
+                pseudo_gate[dst] = end if end > gate else gate
+                timeline.append(TimelineEvent(0.0, end, "comm", name, label,
+                                              n_bytes))
+                transferred += n_bytes
 
-    # Pseudopotential distribution traffic precedes the update tasks; it is
-    # replayed and counted only if an update task runs on an NDP unit.
-    trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
-    pseudo_gate: dict[int, float] = {}
-    # the walk below raises for a task without a UnitRef placement
-    has_ndp_pseudo = any(
-        getattr(placements.get(t.id), "cls", None) is UnitClass.NDP_UNIT
-        for t in graph.tasks if t.family is KernelFamily.PSEUDO)
-    if has_ndp_pseudo:
-        comm.merge(trace.comm)
-        # Fetches run stack to stack, all ready at 0, over mesh routes.  The
-        # trace repeats a few (src, dst, bytes) rows, so each row is routed
-        # and labelled once.  The replay is _occupy's mesh case, inlined
-        # with max() spelled out (it runs once per fetch and link): `b if b
-        # > a else a` is what max(a, b) returns, so every float is the same.
-        rows: dict[tuple[int, int, int], tuple] = {}
-        for fetch in trace.fetches:
-            src, dst, n_bytes = fetch
-            row = rows.get(fetch)
-            if row is None:
-                path = links.path(src, dst)
-                row = rows[fetch] = (path.route, n_bytes / path.bw + hop,
-                                     path.name, f"pseudo_block:{src}->{dst}")
-            route, step, name, label = row
-            end = 0.0
-            for link in route:
-                queued = free[link]
-                start = queued if queued > end else end
-                free[link] = end = start + step
-            gate = pseudo_gate.get(dst, 0.0)
-            pseudo_gate[dst] = end if end > gate else gate
-            timeline.append(TimelineEvent(0.0, end, "comm", name, label, n_bytes))
-            transferred += n_bytes
-
-    # estimate_time depends only on the unit class and the task's (flops,
-    # bytes read, bytes written) shape
-    durations: dict[UnitClass, dict[tuple, float]] = {}
-    task_end: dict[str, float] = {}
-    dt = 0  # summed in the order, and from the int 0, of scheduling_overhead
-    n_handoffs = 0
-    for task, u, u_loc, inputs in placed_moves(graph, cfg, placements):
+    # on a context, the run saves its state at each group start past the
+    # checkpoint it resumed from
+    last = checkpoints[-1].index if checkpoints else -1
+    saves = iter(() if context is None else [
+        i for i in accumulate((len(m) for _, m in context.groups[:-1]),
+                              initial=0) if i > last])
+    save_at = next(saves, -1)
+    for i, (task, u, u_loc, inputs) in enumerate(
+            placed_moves(graph, cfg, placements, first), first):
+        if i == save_at:
+            checkpoints.append(_Checkpoint(
+                i, list(free), dict(unit_free),
+                {v: dict(info[2]) for v, info in unit_info.items()},
+                replace(comm), transferred, dt, n_handoffs, len(timeline)))
+            save_at = next(saves, -1)
         tid = task.id
         family = task.family
         info = unit_info.get(u)
@@ -194,6 +272,9 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         fams[value] = fams.get(value, 0.0) + dur
         timeline.append(TimelineEvent(start, end, "task", name, tid))
         task_end[tid] = end
+    if context is not None:
+        context.last_run = _Run(fixture, has_ndp_pseudo, placed, pseudo_gate,
+                                task_end, timeline, checkpoints)
 
     makespan = max(map(itemgetter(1), timeline), default=0.0)
     per_family: dict[KernelFamily, float] = {}
@@ -207,12 +288,13 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         mode.value: footprint_for_atoms(graph.system.n_atoms, arch, mode, fixture)
         for mode in PseudoMode
     }
-    # by (t_start, t_end, unit, task_or_object)
-    timeline.sort(key=itemgetter(0, 1, 3, 4))
     return SimulationReport(
         makespan=makespan, per_family_time=per_family,
         overhead=OverheadBreakdown(dt, n_handoffs * cfg.cxt_s, n_handoffs),
-        comm=comm, footprints=footprints, timeline=timeline,
+        comm=comm, footprints=footprints,
+        # a sorted copy, by (t_start, t_end, unit, task_or_object), as the
+        # context may keep this run's list in run order
+        timeline=sorted(timeline, key=itemgetter(0, 1, 3, 4)),
         policy=schedule.policy, transferred_bytes=transferred)
 
 

@@ -1,19 +1,24 @@
 import dataclasses
 import hashlib
+import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from ndftsim.cli import Scenario, default_config, run_scenario
+from ndftsim import simulator
+from ndftsim.cli import SHIPPED_SIZES, Scenario, default_config, run_scenario
 from ndftsim.costmodel import CommStats
 from ndftsim.errors import DomainError, ScheduleError
 from ndftsim.machine import UnitRef
 from ndftsim.runtime import PseudoMode
-from ndftsim.scheduler import Schedule, plan, schedule_from_placements
+from ndftsim.scheduler import (POLICIES, PlanContext, Schedule, plan,
+                               schedule_from_placements)
 from ndftsim.simulator import compare, simulate
 from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
                               derive_system)
 from graphs import make_graph
+from test_scheduler import random_stage_graph, small_cxt_config
 
 
 def test_empty_schedule_empty_graph(cfg, calibrated):
@@ -290,3 +295,177 @@ def test_timelines_are_pinned(cfg, calibrated, atoms, policy, groups, mesh):
             + repr(report.comm))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == TIMELINE_SHA256[(atoms, policy, groups, mesh)]
+
+
+# -- resuming from a kept run on the plan context ------------------------------
+
+def exact(report) -> tuple:
+    """Every output field, floats as repr, so equal means byte-identical."""
+    return (report.timeline_csv(), repr(report.makespan),
+            repr(report.per_family_time), repr(report.overhead),
+            repr(report.comm), repr(report.footprints),
+            report.transferred_bytes)
+
+
+def ndp_graph(fixture, atoms):
+    """The graph run_scenario builds for ndp_only and hybrid."""
+    return build_taskgraph(derive_system(atoms, fixture, context="ndp"),
+                           fixture, pseudo_mode="shared_block")
+
+
+def record_starts(monkeypatch) -> list[int]:
+    """The task index each later simulate's walk starts at."""
+    starts: list[int] = []
+    inner = simulator.placed_moves
+
+    def recorded(graph, cfg, placements, start=0):
+        starts.append(start)
+        return inner(graph, cfg, placements, start)
+
+    monkeypatch.setattr(simulator, "placed_moves", recorded)
+    return starts
+
+
+def test_simulate_refuses_a_context_of_another_graph_or_machine(cfg,
+                                                                calibrated):
+    graph = ndp_graph(calibrated, 16)
+    other = ndp_graph(calibrated, 16)
+    context = PlanContext(graph, cfg)
+    schedule = plan(graph, cfg, "hybrid", context=context)
+    with pytest.raises(DomainError, match="^plan context was built for "
+                       "another graph$"):
+        simulate(schedule, other, cfg, calibrated, context=context)
+    with pytest.raises(DomainError, match="^plan context was built for "
+                       "another machine$"):
+        simulate(schedule, graph, cfg.with_cxt(1.0), calibrated,
+                 context=context)
+
+
+@pytest.mark.parametrize("atoms", SHIPPED_SIZES)
+def test_resumed_runs_equal_fresh_runs_on_the_shipped_sizes(
+        monkeypatch, cfg, calibrated, atoms):
+    """The three policies, simulated on one context in all six orders."""
+    graph = ndp_graph(calibrated, atoms)
+    context = PlanContext(graph, cfg)
+    schedules = {p: plan(graph, cfg, p, context=context) for p in POLICIES}
+    fresh = {p: exact(simulate(s, graph, cfg, calibrated))
+             for p, s in schedules.items()}
+    starts = record_starts(monkeypatch)
+    for order in itertools.permutations(POLICIES):
+        context.last_run = None
+        for policy in order:
+            report = simulate(schedules[policy], graph, cfg, calibrated,
+                              context=context)
+            assert exact(report) == fresh[policy], (order, policy)
+    # ndp_only and hybrid differ in the last group at most, so each resumes
+    # from the other past the first task
+    assert max(starts) > 0
+
+
+@pytest.mark.parametrize("cxt", [0.0, 5e-6, 1e-3, 100.0])
+def test_resumed_runs_equal_fresh_runs_on_random_graphs(monkeypatch,
+                                                        calibrated, cxt):
+    cfg = small_cxt_config(cxt)
+    starts = record_starts(monkeypatch)
+    for seed in range(40):
+        graph = random_stage_graph(random.Random(seed))
+        context = PlanContext(graph, cfg)
+        schedules = {p: plan(graph, cfg, p, context=context) for p in POLICIES}
+        fresh = {p: exact(simulate(s, graph, cfg, calibrated))
+                 for p, s in schedules.items()}
+        for order in itertools.permutations(POLICIES):
+            context.last_run = None
+            for policy in order:
+                report = simulate(schedules[policy], graph, cfg, calibrated,
+                                  context=context)
+                assert exact(report) == fresh[policy], (seed, order, policy)
+    assert any(0 < start for start in starts)
+
+
+@pytest.fixture(scope="module")
+def kept_si64(cfg, calibrated):
+    """si64's graph, its context and its ndp_only schedule."""
+    graph = ndp_graph(calibrated, 64)
+    context = PlanContext(graph, cfg)
+    return graph, context, plan(graph, cfg, "ndp_only", context=context)
+
+
+def after_ndp_only(kept_si64, cfg, calibrated, schedule, fixture=None):
+    """``schedule`` simulated on the context right after ndp_only, and on
+    its own."""
+    graph, context, ndp_only = kept_si64
+    fixture = fixture or calibrated
+    context.last_run = None
+    simulate(ndp_only, graph, cfg, calibrated, context=context)
+    return (simulate(schedule, graph, cfg, fixture, context=context),
+            simulate(schedule, graph, cfg, fixture))
+
+
+def test_moving_every_update_task_to_the_cpu_replays_from_the_start(
+        kept_si64, cfg, calibrated):
+    graph, _, ndp_only = kept_si64
+    placements = {tid: UnitRef.cpu() if graph.task(tid).family
+                  is KernelFamily.PSEUDO else u
+                  for tid, u in ndp_only.placements.items()}
+    resumed, fresh = after_ndp_only(kept_si64, cfg, calibrated,
+                                    Schedule("manual", placements, []))
+    assert fresh.comm.requests_served_from_cache == 0
+    assert exact(resumed) == exact(fresh)
+
+
+def test_a_fixture_that_changes_the_fetches_replays_from_the_start(
+        kept_si64, cfg, calibrated):
+    _, _, ndp_only = kept_si64
+    pseudo = dataclasses.replace(calibrated.pseudo, projectors_per_atom=100)
+    fixture = dataclasses.replace(calibrated, pseudo=pseudo)
+    resumed, fresh = after_ndp_only(kept_si64, cfg, calibrated, ndp_only,
+                                    fixture)
+    base = simulate(ndp_only, kept_si64[0], cfg, calibrated)
+    assert fresh.comm != base.comm  # the fetch replay does change
+    assert exact(resumed) == exact(fresh)
+
+
+def test_a_schedule_changed_after_its_first_run_resumes_from_its_change(
+        monkeypatch, kept_si64, cfg, calibrated):
+    graph, context, ndp_only = kept_si64
+    schedule = Schedule("manual", dict(ndp_only.placements), [])
+    first, _ = after_ndp_only(kept_si64, cfg, calibrated, schedule)
+    # move the first task of the middle stage group to another stack
+    task = context.groups[len(context.groups) // 2][1][0]
+    unit = schedule.placements[task.id]
+    schedule.placements[task.id] = UnitRef.ndp(
+        (unit.stack_id + 1) % cfg.total_stacks, unit.unit_id)
+    starts = record_starts(monkeypatch)
+    resumed = simulate(schedule, graph, cfg, calibrated, context=context)
+    fresh = simulate(schedule, graph, cfg, calibrated)
+    assert starts[0] == graph.tasks.index(task) > 0
+    assert exact(resumed) == exact(fresh) != exact(first)
+
+
+def test_clearing_a_returned_timeline_leaves_the_kept_run(kept_si64, cfg,
+                                                          calibrated):
+    graph, context, ndp_only = kept_si64
+    hybrid = plan(graph, cfg, "hybrid", context=context)
+    context.last_run = None
+    simulate(ndp_only, graph, cfg, calibrated, context=context).timeline.clear()
+    resumed = simulate(hybrid, graph, cfg, calibrated, context=context)
+    assert exact(resumed) == exact(simulate(hybrid, graph, cfg, calibrated))
+
+
+def test_the_pair_computes_the_trace_once(monkeypatch, kept_si64, cfg,
+                                          calibrated):
+    """A resumed run restores the fetch replay and computes no trace."""
+    graph, context, ndp_only = kept_si64
+    hybrid = plan(graph, cfg, "hybrid", context=context)
+    calls = Counter()
+    inner = simulator.pseudo_cost_trace
+
+    def counted(*args):
+        calls["trace"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(simulator, "pseudo_cost_trace", counted)
+    context.last_run = None
+    for schedule in (ndp_only, hybrid, ndp_only):
+        simulate(schedule, graph, cfg, calibrated, context=context)
+    assert calls["trace"] == 1
