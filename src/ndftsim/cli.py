@@ -103,12 +103,6 @@ def _path(key: str, name) -> str:
     return f"{key}.{name}" if key else str(name)
 
 
-def _mapping(node, key: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigurationError("must be a mapping", key=key)
-    return node
-
-
 def _from_doc(hint, node, key: str, base=None):
     """The value of type ``hint`` that the document node describes.
 
@@ -136,11 +130,9 @@ def _from_doc(hint, node, key: str, base=None):
     if node is None and base is not None:
         return base
     if is_dataclass(hint):
-        return _dataclass_from_doc(hint, _mapping(node, key), key, base)
-    if origin is dict:
-        return {_from_doc(str, k, _path(key, k)):
-                _from_doc(args[1], v, _path(key, k))
-                for k, v in _mapping(node, key).items()}
+        if not isinstance(node, dict):
+            raise ConfigurationError("must be a mapping", key=key)
+        return _dataclass_from_doc(hint, node, key, base)
     if not isinstance(node, list):
         raise ConfigurationError("must be a list", key=key)
     return [_from_doc(args[0], item, f"{key}[{i}]")
@@ -193,8 +185,6 @@ def config_to_doc(value):
         return value.value
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, dict):
-        return {k: config_to_doc(v) for k, v in value.items()}
     if isinstance(value, list):
         return [config_to_doc(v) for v in value]
     return value
@@ -213,6 +203,7 @@ def write_default_config(path: str | Path) -> None:
 # machine.  ndp_only and hybrid at one size share a key, so the shipped
 # matrix builds 14 graphs, not 21, and the pair shares the planner's tables,
 # its group evaluations and the simulated prefix where its placements agree.
+# run_experiment empties it when it ends.
 _last_graph: tuple | None = None
 
 
@@ -304,7 +295,9 @@ def _scenario_report_csv(scenario: Scenario, report: SimulationReport,
 def run_experiment(config: ExperimentConfig,
                    scenario_filter: str | None = None,
                    exec_pseudo: bool = False) -> dict[str, SimulationReport]:
-    """Run the scenario matrix and write report_<scenario>.csv plus summary.csv."""
+    """Run the scenario matrix and write report_<scenario>.csv plus summary.csv;
+    run_scenario's graph slot is empty when this returns or raises."""
+    global _last_graph
     bad = config.validate()
     if bad:
         raise ConfigurationError.from_diagnostic(bad[0])
@@ -320,13 +313,16 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigurationError("scenario filter matched nothing",
                                  key="scenarios")
     reports: dict[str, SimulationReport] = {}
-    for sc in scenarios:
-        report = run_scenario(sc, config)
-        if exec_pseudo:
-            _check_pseudo_modes(sc, config)
-        reports[sc.name] = report
-        _atomic_write(out_dir / f"report_{sc.name}.csv",
-                      _scenario_report_csv(sc, report, config.machine))
+    try:
+        for sc in scenarios:
+            report = run_scenario(sc, config)
+            if exec_pseudo:
+                _check_pseudo_modes(sc, config)
+            reports[sc.name] = report
+            _atomic_write(out_dir / f"report_{sc.name}.csv",
+                          _scenario_report_csv(sc, report, config.machine))
+    finally:
+        _last_graph = None
 
     # summary rows, cpu_only baselines first within each size
     cpu_makespans = {sc.n_atoms: reports[sc.name].makespan

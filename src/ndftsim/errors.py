@@ -46,8 +46,7 @@ class ConfigurationError(NdftError, ValueError):
 @cache
 def doc_fields(cls) -> dict:
     """Document key (name or "doc_key") -> (field, hint, domain or None) per
-    field of a config dataclass: one table for loader, dumper and checker.
-    A dict field's domain is that of its values."""
+    field of a config dataclass: one table for loader, dumper and checker."""
     hints = get_type_hints(cls, include_extras=True)
     table = {}
     for f in fields(cls):
@@ -62,8 +61,7 @@ def config_errors(value, key: str) -> list[str]:
     """Every '<key path>: <problem>' line of a config dataclass rooted at key.
 
     Each leaf outside the domain its hint declares gives '<key path>: must
-    be <domain>', and so does each entry of a dict whose values declare
-    one; nested dataclasses, and lists of them, are walked too.
+    be <domain>'; nested dataclasses, and lists of them, are walked too.
     The checks that tie fields together stay with their class, as its
     ``relation_errors(key)``, and run after its fields.
     """
@@ -73,10 +71,8 @@ def config_errors(value, key: str) -> list[str]:
         path = f"{key}.{doc_key}" if key else doc_key
         if domain is not None:
             op, bound = domain.split()
-            entries = ({f"{path}.{k}": v for k, v in item.items()}
-                       if isinstance(item, dict) else {path: item})
-            bad += [f"{p}: must be {domain}" for p, x in entries.items()
-                    if x is not None and not _COMPARE[op](x, float(bound))]
+            if item is not None and not _COMPARE[op](item, float(bound)):
+                bad.append(f"{path}: must be {domain}")
         elif is_dataclass(item):
             bad += config_errors(item, path)
         elif isinstance(item, list):  # of dataclasses: the scenarios

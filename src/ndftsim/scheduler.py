@@ -141,8 +141,12 @@ def scheduling_overhead(schedule: Schedule, cfg: MachineConfig) -> OverheadBreak
     traffic and host-side staging appear in the simulation timeline but are
     not scheduling overhead.
     """
-    dt = sum(transfer_cost(t.bytes, t.src, t.dst, cfg)
-             for t in schedule.transfers if t.crosses_boundary)
+    # added one by one, in list order, as simulate() adds them: sum() of
+    # floats rounds otherwise from Python 3.12 on
+    dt = 0
+    for t in schedule.transfers:
+        if t.crosses_boundary:
+            dt += transfer_cost(t.bytes, t.src, t.dst, cfg)
     n_cxt = len(schedule.crossing_edges)
     return OverheadBreakdown(dt_total=dt, cxt_total=n_cxt * cfg.cxt_s, cxt_count=n_cxt)
 

@@ -155,31 +155,27 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             differs = next((i for i, (a, b) in enumerate(zip(placed, kept.placed))
                             if a != b), len(placed))
             checkpoints = [cp for cp in kept.checkpoints if cp.index <= differs]
+    # a fresh run restores the empty state: no link or unit busy, nothing
+    # moved, and dt summed from the int 0, as scheduling_overhead sums it
+    cp = checkpoints[-1] if checkpoints else _Checkpoint(
+        0, [0.0] * links.n_links, {}, {}, CommStats(), 0, 0, 0, 0)
+    free = list(cp.free)  # each link's FIFO cursor, by link id
+    unit_free: dict[UnitRef, float] = dict(cp.unit_free)
+    for u, busy in cp.busy.items():
+        unit_info[u] = (str(u), durations.setdefault(u.cls, {}), dict(busy))
+    comm = replace(cp.comm)
+    transferred, dt, n_handoffs = cp.transferred, cp.dt, cp.n_handoffs
+    first = cp.index
     if checkpoints:
-        cp = checkpoints[-1]
-        free = list(cp.free)
-        unit_free = dict(cp.unit_free)
-        for u, busy in cp.busy.items():
-            unit_info[u] = (str(u), durations.setdefault(u.cls, {}), dict(busy))
-        comm = replace(cp.comm)
-        transferred, dt, n_handoffs = cp.transferred, cp.dt, cp.n_handoffs
         # both are appended to once per event or task, in run order
         timeline = kept.timeline[:cp.n_events]
         task_end = dict(islice(kept.task_end.items(), cp.index))
         pseudo_gate = kept.pseudo_gate  # fixed once the fetch replay ends
-        first = cp.index
         kept = None  # drop the rest of the kept run now
     else:
-        free = [0.0] * links.n_links  # each link's FIFO cursor, by link id
-        unit_free: dict[UnitRef, float] = {}
         timeline: list[TimelineEvent] = []
-        comm = CommStats()
-        transferred = 0
-        dt = 0  # summed in the order, and from the int 0, of scheduling_overhead
-        n_handoffs = 0
         task_end: dict[str, float] = {}
         pseudo_gate: dict[int, float] = {}
-        first = 0
         # Pseudopotential distribution traffic precedes the update tasks; it
         # is replayed and counted only if an update task runs on an NDP unit.
         trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)

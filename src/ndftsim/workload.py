@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Annotated
+from types import MappingProxyType
+from typing import Annotated, ClassVar
 
 from .errors import DomainError, NonNegFloat, NonNegInt, PosFloat, PosInt
 from .machine import GIB, HOST
@@ -127,8 +128,15 @@ class CalibrationFixture:
     pseudo: PseudoCoefficients = PseudoCoefficients(1.0, 1.0)
     syevd: FamilyCoefficients = FamilyCoefficients(9.0, 4000.0)
     footprint: FootprintParams = field(default_factory=FootprintParams)
-    # Regression targets recorded with the fit (speedup vs cpu_only by n_atoms).
-    targets: dict[str, NonNegFloat] = field(default_factory=dict)
+    # What calibrated() was fitted to reproduce: the hybrid speedup over
+    # cpu_only at 64 and 1024 atoms, the largest hybrid overhead fraction and
+    # the shared-block footprint reduction.  A constant, not a config field.
+    targets: ClassVar[MappingProxyType] = MappingProxyType({
+        "speedup_si_64": 1.9,
+        "speedup_si_1024": 5.2,
+        "max_overhead_fraction": 0.06,
+        "shared_block_reduction": 0.578,
+    })
 
     @staticmethod
     def textbook() -> "CalibrationFixture":
@@ -142,12 +150,6 @@ class CalibrationFixture:
             face_split=FamilyCoefficients(6.0, 25.18),
             fft=FamilyCoefficients(5.0, 52.55),
             gemm=FamilyCoefficients(0.25356, 0.12678),
-            targets={
-                "speedup_si_64": 1.9,
-                "speedup_si_1024": 5.2,
-                "max_overhead_fraction": 0.06,
-                "shared_block_reduction": 0.578,
-            },
         )
 
     def response_dim(self, nv: int, nc: int, n_atoms: int) -> int:

@@ -167,8 +167,9 @@ def test_cli_invalid_config_exits_2(tmp_path, config_file):
     (("scenarios", 0, "n_atoms"), "abc", "scenarios[0].n_atoms"),
     (("output_dir",), 3, "output_dir"),
     (("workload", "targets"), 3, "workload.targets"),
-    (("workload", "targets"), {"speedup_si_64": "x"},
-     "workload.targets.speedup_si_64"),
+    # a key of older documents: the fit's targets are a constant now
+    (("workload", "targets"), {"speedup_si_64": 1.9},
+     "workload.targets: unknown field"),
     # a key of older documents: run --exec-pseudo replaced it
     (("scenarios", 0, "exec_pseudo"), "nope", "scenarios[0].exec_pseudo"),
     (("workload", "nv_per_atm"), 2, "workload.nv_per_atm"),
@@ -214,18 +215,36 @@ def test_cli_malformed_value_exits_2_with_key(tmp_path, config_file, path,
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_a_document_setting_the_targets_exits_2(tmp_path, config_file):
+    # older documents carried the fit's targets; they are a constant now
+    doc = yaml.safe_load(config_file.read_text())
+    assert "targets" not in doc["workload"]
+    doc["workload"]["targets"] = dict(CalibrationFixture.targets)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    proc = cli("validate", str(bad))
+    assert (proc.returncode, proc.stdout) == (
+        EXIT_BAD_CONFIG, "workload.targets: unknown field\n")
+    proc = cli("run", str(bad), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert proc.stderr == "invalid config: workload.targets: unknown field\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, value", [("speedup_si_64", ".nan"),
                                          ("max_overhead_fraction", "-5.0")])
 def test_cli_target_outside_its_domain_exits_2(tmp_path, config_file, name,
                                                value):
+    # no document sets a target, so one outside its domain is refused
+    # as the unknown field before its value is read
     doc = yaml.safe_load(config_file.read_text())
-    doc["workload"]["targets"][name] = yaml.safe_load(value)
+    doc["workload"]["targets"] = {name: yaml.safe_load(value)}
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc))
     assert f"{name}: {value}" in bad.read_text()
     proc = cli("validate", str(bad))
     assert proc.returncode == EXIT_BAD_CONFIG, proc.stdout
-    assert proc.stdout == f"workload.targets.{name}: must be >= 0\n"
+    assert proc.stdout == "workload.targets: unknown field\n"
 
 
 def test_cli_run_prints_no_runtime_warning(config_file):
@@ -385,6 +404,18 @@ def test_shipped_matrix_builds_one_graph_per_ndp_pair(tmp_path, monkeypatch):
     run_experiment(config)
     assert len(builds) == 14  # ndp_only and hybrid share a graph
     assert runs == [((sc, config), {}) for sc in config.scenarios]
+
+
+def test_run_experiment_keeps_no_graph_after_it_ends(tmp_path):
+    config = default_config(tmp_path / "out")
+    run_experiment(config, scenario_filter="si16_")
+    assert cli_module._last_graph is None
+    # the last scenario's report cannot be written: the run raises
+    (tmp_path / "out" / "report_si16_hybrid.csv").unlink()
+    (tmp_path / "out" / "report_si16_hybrid.csv").mkdir()
+    with pytest.raises(ConfigurationError, match="report_si16_hybrid"):
+        run_experiment(config, scenario_filter="si16_")
+    assert cli_module._last_graph is None
 
 
 def test_run_scenario_rebuilds_for_a_changed_mode_or_fixture(monkeypatch):

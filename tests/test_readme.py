@@ -2,7 +2,8 @@ import re
 from pathlib import Path
 from typing import get_args, get_origin
 
-from ndftsim.cli import ExperimentConfig
+from ndftsim.cli import ExperimentConfig, config_to_doc, default_config
+from ndftsim.workload import KernelFamily
 from test_config_doc import doc_hints
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +35,20 @@ def test_config_table_lists_each_section_field():
         if get_origin(cls) is list:
             cls, = get_args(cls)
         assert set(re.findall(r"`(\w+)`", meaning)) == set(doc_hints(cls)), key
+
+
+def test_config_table_names_only_keys_of_the_document():
+    """The first key of each `machine.` and `workload.` row other than the
+    `.*` rows is a key of the shipped document; `<family>` stands for each
+    costed family."""
+    doc = config_to_doc(default_config())
+    keys = re.findall(r"^\| `((?:machine|workload)\.[\w.<>]+)`",
+                      README.read_text(), re.M)
+    assert "machine.cxt_s" in keys and "workload.<family>.flop_coef" in keys
+    families = [fam.value for fam in KernelFamily if fam is not KernelFamily.OTHER]
+    for key in keys:
+        for path in {key.replace("<family>", fam) for fam in families}:
+            node = doc
+            for name in path.split("."):
+                assert isinstance(node, dict) and name in node, (key, path)
+                node = node[name]

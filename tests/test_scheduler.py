@@ -14,7 +14,8 @@ from ndftsim.scheduler import (PlanContext, Schedule, Transfer, _PlanState,
                                plan, schedule_from_placements,
                                scheduling_overhead, transfer_cost)
 from ndftsim.simulator import simulate
-from ndftsim.workload import KernelFamily, build_taskgraph, derive_system
+from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
+                              derive_system)
 from graphs import make_graph
 
 
@@ -188,6 +189,33 @@ def test_chain_placement_matches_brute_force():
         a_classes = {schedule.placements[t.id].cls for t in graph.tasks[:-1]}
         assert a_classes == {a_best}
         assert schedule.placements["b"].cls is b_best
+
+
+def test_a_tied_score_goes_to_the_class_holding_more_input_bytes(cfg):
+    """plan ranks classes by (score, -resident input bytes, CPU first).
+    Stage a reads 1 MB homed on stack 0; stage b's four tiles each read 8
+    bytes homed on stacks 1-4 and dominate the run, so both of a's classes
+    score exactly b's completion.  The resident bytes then keep a_0 on
+    stack 0, where CPU first alone would move it to the CPU."""
+    tasks = [{"id": "a_0", "br": 1e6, "inputs": ("pa",), "outputs": ("ya",)}]
+    tasks += [{"id": f"b_{i}", "br": 1e11, "inputs": (f"pb{i}",),
+               "outputs": (f"yb{i}",)} for i in range(4)]
+    objects = {"pa": 10 ** 6, "ya": 8}
+    objects.update({f"{name}{i}": 8 for name in ("pb", "yb") for i in range(4)})
+    graph = make_graph(tasks, objects)
+    graph.data_objects["pa"] = DataObject("pa", 10 ** 6, 0)
+    for i in range(4):
+        graph.data_objects[f"pb{i}"] = DataObject(f"pb{i}", 8, i + 1)
+    state = _PlanState(PlanContext(graph, cfg),
+                       [UnitClass.CPU, UnitClass.NDP_UNIT])
+    (_, a_members), (_, b_members) = state.context.groups
+    scores = []
+    for a in state.evaluate_all(a_members).values():
+        follow = state.snapshot(a_members, a).evaluate_all(b_members)
+        scores.append(min(max(a.completion, f.completion) + f.overhead
+                          for f in follow.values()) + a.overhead)
+    assert len(scores) == 2 and scores[0] == scores[1]
+    assert plan(graph, cfg, "hybrid").placements["a_0"] == UnitRef.ndp(0, 0)
 
 
 def unpruned_hybrid_plan(graph, cfg) -> Schedule:

@@ -174,6 +174,23 @@ def test_simulate_derives_the_moves_from_the_placements(cfg, calibrated):
         assert run.comm == planned.comm
 
 
+@pytest.mark.parametrize("n_atoms", [16, 32, 64])
+def test_overhead_sums_equal_on_random_placements(cfg, calibrated, n_atoms):
+    """The schedule and the simulation add the same handoff terms in the
+    same order, so their sums are equal, not only close: from Python 3.12
+    on, sum() of floats rounds differently from a plain loop."""
+    graph = build_taskgraph(derive_system(n_atoms, calibrated), calibrated)
+    units = [UnitRef.cpu()] + [UnitRef.ndp(s, u)
+                               for s in range(cfg.total_stacks)
+                               for u in range(cfg.ndp.units_per_stack)]
+    for seed in range(5):
+        rng = random.Random(seed)
+        placements = {t.id: rng.choice(units) for t in graph.tasks}
+        schedule = schedule_from_placements(graph, cfg, placements, "hybrid")
+        report = simulate(schedule, graph, cfg, calibrated)
+        assert report.overhead == schedule.overhead, seed
+
+
 def test_alltoall_input_without_producer_or_home_is_schedule_error(
         cfg, calibrated):
     graph = make_graph(
