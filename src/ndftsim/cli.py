@@ -273,11 +273,11 @@ def _scenario_report_csv(scenario: Scenario, report: SimulationReport,
         if t is not None:
             writer.writerow([fam.value, repr(t), ""])
     writer.writerow(["scheduling", repr(report.overhead.total), ""])
-    # busy time of the most loaded link, same convention as the family rows
+    # busy time of the most loaded link, same convention as the family rows;
+    # summed in timeline order, as a run-order sum rounds differently
     link_busy: dict[str, float] = {}
-    for ev in report.timeline:
-        if ev.kind in ("transfer", "comm"):
-            link_busy[ev.unit] = link_busy.get(ev.unit, 0.0) + (ev.t_end - ev.t_start)
+    for t_start, t_end, _, unit, _, _ in report.sorted_events(("transfer", "comm")):
+        link_busy[unit] = link_busy.get(unit, 0.0) + (t_end - t_start)
     writer.writerow(["global_comm", repr(max(link_busy.values(), default=0.0)),
                      report.transferred_bytes])
     writer.writerow(["makespan", repr(report.makespan), ""])

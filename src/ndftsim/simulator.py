@@ -26,10 +26,11 @@ from .workload import CalibrationFixture, KernelFamily, TaskGraph
 
 
 class TimelineEvent(NamedTuple):
-    """One interval of the timeline; immutable and compared by value.
+    """One interval of ``SimulationReport.timeline``, built when it is read.
 
-    A named tuple rather than a dataclass because a run creates one per
-    task, transfer and fetch, and a tuple is the cheapest immutable record.
+    A run keeps each task, transfer and fetch as a plain tuple of these six
+    fields instead: CPython stops tracking a tuple of floats, strs and ints
+    in its collector, but never an instance of a tuple subclass like this.
     """
 
     t_start: float
@@ -37,27 +38,46 @@ class TimelineEvent(NamedTuple):
     kind: str            # task | transfer | cxt | comm
     unit: str            # unit or link name
     task_or_object: str
-    bytes: int = 0
+    bytes: int
 
 
 @dataclass
 class SimulationReport:
+    """What a run reports.  ``events`` holds its intervals in run order, as
+    plain ``TimelineEvent``-shaped tuples; the sorted ``timeline`` is built
+    from them on each read and never kept, and ``ndft-sim run`` never reads
+    it."""
+
     makespan: float
     per_family_time: dict[KernelFamily, float]
     overhead: object
     comm: CommStats
     footprints: dict[str, float]
-    timeline: list[TimelineEvent]
+    events: tuple[tuple, ...]
     policy: str = ""
     transferred_bytes: int = 0
+
+    def sorted_events(self, kinds: tuple[str, ...] = ()) -> list[tuple]:
+        """The events, or those of the given kinds, in timeline order: by
+        (t_start, t_end, unit, task_or_object), ties in run order."""
+        rows = [r for r in self.events if r[2] in kinds] if kinds else list(self.events)
+        # one stable sort per field, least significant first: the order of a
+        # sort by the four-field key, without a key tuple per row
+        for field in (4, 3, 1, 0):
+            rows.sort(key=itemgetter(field))
+        return rows
+
+    @property
+    def timeline(self) -> list[TimelineEvent]:
+        """A new sorted list of the events on each read."""
+        return [TimelineEvent._make(r) for r in self.sorted_events()]
 
     def timeline_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["t_start", "t_end", "kind", "unit", "task_or_object", "bytes"])
-        for ev in self.timeline:
-            writer.writerow([repr(ev.t_start), repr(ev.t_end), ev.kind,
-                             ev.unit, ev.task_or_object, ev.bytes])
+        for t_start, t_end, kind, unit, label, n_bytes in self.sorted_events():
+            writer.writerow([repr(t_start), repr(t_end), kind, unit, label, n_bytes])
         return out.getvalue()
 
 
@@ -69,10 +89,10 @@ _Checkpoint = namedtuple("_Checkpoint", "index free unit_free busy comm "
                          "transferred dt n_handoffs n_events")
 # A simulate() run kept on its plan context to be resumed from: its fixture,
 # whether an update task ran on NDP, a copy of each task's placement in list
-# order, the pseudopotential gate, the task ends and the events in run order
-# (never handed out), and its checkpoints in order.
+# order, the pseudopotential gate, the task ends, the event rows in run
+# order (the report's own tuple) and its checkpoints in order.
 _Run = namedtuple("_Run", "fixture has_ndp_pseudo placed pseudo_gate "
-                  "task_end timeline checkpoints")
+                  "task_end events checkpoints")
 
 
 def _occupy(free: list[float], path: Path, n_bytes: float, ready: float,
@@ -168,18 +188,20 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     first = cp.index
     if checkpoints:
         # both are appended to once per event or task, in run order
-        timeline = kept.timeline[:cp.n_events]
+        events = list(islice(kept.events, cp.n_events))
         task_end = dict(islice(kept.task_end.items(), cp.index))
         pseudo_gate = kept.pseudo_gate  # fixed once the fetch replay ends
         kept = None  # drop the rest of the kept run now
     else:
-        timeline: list[TimelineEvent] = []
+        # (t_start, t_end, kind, unit, task_or_object, bytes) per event
+        events: list[tuple] = []
         task_end: dict[str, float] = {}
         pseudo_gate: dict[int, float] = {}
         # Pseudopotential distribution traffic precedes the update tasks; it
-        # is replayed and counted only if an update task runs on an NDP unit.
-        trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
+        # is traced, replayed and counted only if an update task runs on an
+        # NDP unit.
         if has_ndp_pseudo:
+            trace = pseudo_cost_trace(graph.system, graph.pseudo_mode, fixture, cfg)
             comm.merge(trace.comm)
             # Fetches run stack to stack, all ready at 0, over mesh routes.
             # The trace repeats a few (src, dst, bytes) rows, so each row is
@@ -203,8 +225,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
                     free[link] = end = start + step
                 gate = pseudo_gate.get(dst, 0.0)
                 pseudo_gate[dst] = end if end > gate else gate
-                timeline.append(TimelineEvent(0.0, end, "comm", name, label,
-                                              n_bytes))
+                events.append((0.0, end, "comm", name, label, n_bytes))
                 transferred += n_bytes
 
     # on a context, the run saves its state at each group start past the
@@ -220,7 +241,7 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             checkpoints.append(_Checkpoint(
                 i, list(free), dict(unit_free),
                 {v: dict(info[2]) for v, info in unit_info.items()},
-                replace(comm), transferred, dt, n_handoffs, len(timeline)))
+                replace(comm), transferred, dt, n_handoffs, len(events)))
             save_at = next(saves, -1)
         tid = task.id
         family = task.family
@@ -235,8 +256,8 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
             arrival = task_end.get(producer, 0.0)
             if path is not None:
                 start, arrival = _occupy(free, path, n_bytes, arrival, hop)
-                timeline.append(TimelineEvent(
-                    start, arrival, "transfer", path.name, f"{oid}->{tid}", n_bytes))
+                events.append((start, arrival, "transfer", path.name,
+                               f"{oid}->{tid}", n_bytes))
                 transferred += n_bytes
                 if path.kind is PathKind.MESH:
                     comm.inter_stack_bytes += n_bytes
@@ -248,14 +269,13 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         start = max(unit_free.get(u, 0.0), data_ready)
         n_handoffs += n_cxt
         if n_cxt and cfg.cxt_s > 0:
-            timeline.append(TimelineEvent(start, start + n_cxt * cfg.cxt_s,
-                                          "cxt", name, tid))
+            events.append((start, start + n_cxt * cfg.cxt_s, "cxt", name, tid, 0))
             start += n_cxt * cfg.cxt_s
         if family is KernelFamily.PSEUDO and u_loc in pseudo_gate:
             start = max(start, pseudo_gate[u_loc])
         if family is KernelFamily.ALLTOALL:
             dur, moved = _alltoall_phase(task, [src for _, _, _, src, _, _ in inputs],
-                                         links, free, start, timeline, comm)
+                                         links, free, start, events, comm)
             transferred += moved
         else:
             shape = (task.flops, task.bytes_read, task.bytes_written)
@@ -266,13 +286,15 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
         unit_free[u] = end
         value = family._value_
         fams[value] = fams.get(value, 0.0) + dur
-        timeline.append(TimelineEvent(start, end, "task", name, tid))
+        events.append((start, end, "task", name, tid, 0))
         task_end[tid] = end
+    # one immutable copy, shared by the report and the kept run
+    events = tuple(events)
     if context is not None:
         context.last_run = _Run(fixture, has_ndp_pseudo, placed, pseudo_gate,
-                                task_end, timeline, checkpoints)
+                                task_end, events, checkpoints)
 
-    makespan = max(map(itemgetter(1), timeline), default=0.0)
+    makespan = max(map(itemgetter(1), events), default=0.0)
     per_family: dict[KernelFamily, float] = {}
     for fam in KernelFamily:
         per_unit = [info[2].get(fam.value, 0.0) for info in unit_info.values()]
@@ -287,16 +309,13 @@ def simulate(schedule: Schedule, graph: TaskGraph, cfg: MachineConfig,
     return SimulationReport(
         makespan=makespan, per_family_time=per_family,
         overhead=OverheadBreakdown(dt, n_handoffs * cfg.cxt_s, n_handoffs),
-        comm=comm, footprints=footprints,
-        # a sorted copy, by (t_start, t_end, unit, task_or_object), as the
-        # context may keep this run's list in run order
-        timeline=sorted(timeline, key=itemgetter(0, 1, 3, 4)),
+        comm=comm, footprints=footprints, events=events,
         policy=schedule.policy, transferred_bytes=transferred)
 
 
 def _alltoall_phase(task, part_locs: list[int], links: LinkModel,
                     free: list[float], start: float,
-                    timeline: list[TimelineEvent], comm: CommStats,
+                    events: list[tuple], comm: CommStats,
                     ) -> tuple[float, int]:
     """Pairwise partition exchange across the endpoints holding partitions.
 
@@ -323,8 +342,8 @@ def _alltoall_phase(task, part_locs: list[int], links: LinkModel,
         n_bytes = pair_bytes[(src, dst)]
         path = links.path(src, dst)
         t0, t1 = _occupy(free, path, n_bytes, start, links.hop)
-        timeline.append(TimelineEvent(t0, t1, "comm", path.name,
-                                      f"{task.id}:{src}->{dst}", int(n_bytes)))
+        events.append((t0, t1, "comm", path.name, f"{task.id}:{src}->{dst}",
+                       int(n_bytes)))
         if path.kind is PathKind.MESH:
             comm.inter_stack_bytes += int(n_bytes)
             comm.inter_stack_messages += 1

@@ -273,6 +273,37 @@ def test_timeline_csv_header(cfg, calibrated):
     assert header == "t_start,t_end,kind,unit,task_or_object,bytes"
 
 
+def test_a_report_holds_plain_rows(cfg, calibrated):
+    """Exact tuples of floats, strs and ints, which the garbage collector
+    stops tracking; a tuple subclass such as TimelineEvent it never does."""
+    for policy in ("ndp_only", "hybrid"):
+        report, _, _ = scenario_report(cfg, calibrated, 64, policy)
+        assert type(report.events) is tuple
+        shapes = {tuple(type(x) for x in row) for row in report.events}
+        assert shapes == {(float, float, str, str, str, int)}, policy
+        assert all(type(row) is tuple for row in report.events)
+
+
+def test_timeline_is_built_and_sorted_on_each_read(cfg, calibrated):
+    report, _, _ = scenario_report(cfg, calibrated, 64, "hybrid")
+    first, second = report.timeline, report.timeline
+    assert first == second and first is not second
+    assert all(type(ev) is simulator.TimelineEvent for ev in first)
+    rows = report.events
+    order = sorted(range(len(rows)),
+                   key=lambda i: (rows[i][0], rows[i][1], rows[i][3],
+                                  rows[i][4], i))
+    assert first == [rows[i] for i in order]
+    # rows equal in all four keys keep their run order
+    tied = ((0.0, 1.0, "task", "u", "a", 0), (0.0, 1.0, "comm", "u", "a", 8),
+            (0.0, 0.5, "task", "u", "b", 0), (0.0, 1.0, "cxt", "u", "a", 0))
+    report = dataclasses.replace(report, events=tied)
+    assert report.timeline == [tied[2], tied[0], tied[1], tied[3]]
+    assert report.timeline_csv().splitlines()[1:] == [
+        "0.0,0.5,task,u,b,0", "0.0,1.0,task,u,a,0", "0.0,1.0,comm,u,a,8",
+        "0.0,1.0,cxt,u,a,0"]
+
+
 # SHA-256 of timeline_csv() + repr(per_family_time) + repr(comm) for three
 # scenarios, graphs built as run_scenario builds them.  si1024 ndp_only with
 # 16 orbital groups is the fetch-heavy path (thousands of pseudopotential
@@ -465,6 +496,22 @@ def test_clearing_a_returned_timeline_leaves_the_kept_run(kept_si64, cfg,
     hybrid = plan(graph, cfg, "hybrid", context=context)
     context.last_run = None
     simulate(ndp_only, graph, cfg, calibrated, context=context).timeline.clear()
+    resumed = simulate(hybrid, graph, cfg, calibrated, context=context)
+    assert exact(resumed) == exact(simulate(hybrid, graph, cfg, calibrated))
+
+
+def test_mutating_what_a_report_hands_out_leaves_the_kept_run(
+        kept_si64, cfg, calibrated):
+    graph, context, ndp_only = kept_si64
+    hybrid = plan(graph, cfg, "hybrid", context=context)
+    context.last_run = None
+    report = simulate(ndp_only, graph, cfg, calibrated, context=context)
+    report.timeline.clear()
+    for value in vars(report).values():
+        if isinstance(value, (list, dict)):
+            value.clear()
+    for field in dataclasses.fields(report.comm):
+        setattr(report.comm, field.name, -1)
     resumed = simulate(hybrid, graph, cfg, calibrated, context=context)
     assert exact(resumed) == exact(simulate(hybrid, graph, cfg, calibrated))
 

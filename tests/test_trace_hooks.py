@@ -99,9 +99,21 @@ def test_simulate_passes_the_graphs_mode_to_the_trace(monkeypatch, cfg,
     monkeypatch.setattr(simulator, "pseudo_cost_trace", recorded)
     for mode, context, policy in (
             (workload.PseudoMode.SHARED_BLOCK, "ndp", "hybrid"),
-            (workload.PseudoMode.PER_PROCESS_COPY, "cpu", "cpu_only")):
+            (workload.PseudoMode.PER_PROCESS_COPY, "ndp", "ndp_only")):
         spec = workload.derive_system(16, calibrated, context=context)
         graph = workload.build_taskgraph(spec, calibrated, pseudo_mode=mode)
         simulator.simulate(scheduler.plan(graph, cfg, policy=policy), graph,
                            cfg, calibrated)
         assert modes.pop() is graph.pseudo_mode is mode
+
+
+def test_a_run_with_no_update_task_on_ndp_computes_no_trace(monkeypatch, cfg,
+                                                            calibrated):
+    calls: Counter = Counter()
+    count_calls(monkeypatch, simulator, "pseudo_cost_trace", calls)
+    spec = workload.derive_system(16, calibrated, context="ndp")
+    graph = workload.build_taskgraph(
+        spec, calibrated, pseudo_mode=workload.PseudoMode.SHARED_BLOCK)
+    simulator.simulate(scheduler.plan(graph, cfg, policy="cpu_only"), graph,
+                       cfg, calibrated)
+    assert not calls
