@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import KW_ONLY, MISSING, dataclass, field, is_dataclass
+from dataclasses import MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
@@ -38,8 +38,8 @@ class Scenario:
     n_atoms: PosInt
     policy: str = "hybrid"
     pseudo_mode: PseudoMode = PseudoMode.SHARED_BLOCK
-    _: KW_ONLY
-    seed: NonNegInt  # required: no wall-clock defaults
+    # required, keyword-only: no wall-clock defaults
+    seed: NonNegInt = field(kw_only=True)
 
     @property
     def name(self) -> str:

@@ -162,7 +162,9 @@ class UnitRef:
 
     @staticmethod
     def cpu() -> "UnitRef":
-        return UnitRef(UnitClass.CPU)
+        """The one shared CPU ref: a dict lookup of the same object skips
+        the dataclass __eq__."""
+        return _CPU_REF
 
     @staticmethod
     def ndp(stack_id: int, unit_id: int) -> "UnitRef":
@@ -183,6 +185,9 @@ class UnitRef:
         if self.cls is UnitClass.CPU:
             return "cpu"
         return f"ndp[{self.stack_id}:{self.unit_id}]"
+
+
+_CPU_REF = UnitRef(UnitClass.CPU)
 
 
 def peak_flops(cls: UnitClass, cfg: MachineConfig) -> float:

@@ -19,6 +19,7 @@ import io
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .analyzer import estimate_time
 from .errors import CapacityError, DomainError, ScheduleError
@@ -245,6 +246,22 @@ class _Assignment:
 _CODE = {UnitClass.CPU: "c", UnitClass.NDP_UNIT: "n"}
 
 
+def _least_loaded(heap: list[tuple[float, int]], free: list[float]) -> int:
+    """``free.index(min(free))``: the lowest index among the units with the
+    smallest free time, from a heap of (free time, index) pairs.
+
+    The heap holds each unit's current pair, pushed when ``free`` was last
+    written, and the pairs it replaced.  Free times only grow, so a replaced
+    pair is stale exactly when ``free[index]`` no longer equals it; stale
+    pairs are popped from the top until a current one is there.
+    """
+    t, i = heap[0]
+    while free[i] != t:
+        heappop(heap)
+        t, i = heap[0]
+    return i
+
+
 class PlanContext:
     """What plan() derives from one graph and one machine alone.
 
@@ -424,7 +441,9 @@ class _PlanState:
         Each task goes to the candidate unit that finishes it first.  On the
         CPU the only candidate is the CPU; on NDP they are the least-loaded
         unit of the fleet and the least-loaded unit of the stack holding the
-        task's largest input, with ties going to the lower unit index.
+        task's largest input, with ties going to the lower unit index.  The
+        fleet's least-loaded unit comes from a heap of (free time, index)
+        pairs (_least_loaded), the stack's from a scan of its units.
         Returns None if some task fits on no unit of the class.  The state
         itself is not modified.
         """
@@ -438,6 +457,9 @@ class _PlanState:
         cpu = UnitRef.cpu()
         obj_loc = self.obj_loc
         ndp_free = list(self.ndp_free)
+        if cls is not UnitClass.CPU:
+            heap = list(zip(ndp_free, range(len(ndp_free))))
+            heapify(heap)
         cpu_free = self.cpu_free
         link_free = self.link_free
         units: dict[str, UnitRef] = {}
@@ -453,7 +475,7 @@ class _PlanState:
             else:
                 if not fits_ndp[task.id]:
                     return None  # nothing on this class can hold the task
-                least = ndp_free.index(min(ndp_free))
+                least = _least_loaded(heap, ndp_free)
                 candidates = [least]
                 # locality candidate: least-loaded unit in the stack holding
                 # the largest staged input
@@ -480,6 +502,7 @@ class _PlanState:
                 cpu_free = eft
             else:
                 ndp_free[idx] = eft
+                heappush(heap, (eft, idx))
             link_free = lf
             overhead += ovh
             completion = max(completion, eft)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice
@@ -73,12 +74,45 @@ class SimulationReport:
         return [TimelineEvent._make(r) for r in self.sorted_events()]
 
     def timeline_csv(self) -> str:
+        """The sorted events as CSV: what csv.writer writes for each row with
+        its two times as repr, and the bytes as an int.
+
+        A row is one f-string.  Only a (kind, unit) pair, once per report,
+        and a label holding a comma, quote, CR or LF go through csv.writer,
+        so they are quoted as it quotes them.  A start time that is the same
+        float object as one of the row before reuses that one's repr.
+        """
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t_start", "t_end", "kind", "unit", "task_or_object", "bytes"])
+        write = out.write
+        write("t_start,t_end,kind,unit,task_or_object,bytes\n")
+        pairs: dict[tuple[str, str], str] = {}
+        prev_start = prev_end = None
+        start_text = end_text = ""
         for t_start, t_end, kind, unit, label, n_bytes in self.sorted_events():
-            writer.writerow([repr(t_start), repr(t_end), kind, unit, label, n_bytes])
+            if t_start is not prev_start:
+                start_text = end_text if t_start is prev_end else repr(t_start)
+                prev_start = t_start
+            prev_end = t_end
+            end_text = repr(t_end)
+            kind_unit = pairs.get((kind, unit))
+            if kind_unit is None:
+                kind_unit = pairs[(kind, unit)] = _csv_cells(kind, unit)
+            if _NEEDS_QUOTING(label):
+                label = _csv_cells(label)
+            write(f"{start_text},{end_text},{kind_unit},{label},{n_bytes}\n")
         return out.getvalue()
+
+
+# csv.writer quotes a field only if it holds one of these (a CR only from
+# Python 3.13 on)
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]').search
+
+
+def _csv_cells(*fields: str) -> str:
+    """The fields as csv.writer writes them in a timeline row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()[:-1]
 
 
 # The state a task can overwrite, saved before task ``index`` runs: the link

@@ -7,6 +7,8 @@ the arithmetic, not from the closed forms under test.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import itertools
 
 from ndftsim.errors import DomainError
@@ -188,6 +190,18 @@ class LinksReference:
             self.free[name] = start + per_link
             t = start + per_link
         return ready, t, first
+
+
+def timeline_csv_reference(report) -> str:
+    """The timeline CSV as one csv.writer row per event, in the report's
+    sorted_events() order, with both times written as repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t_start", "t_end", "kind", "unit", "task_or_object",
+                     "bytes"])
+    for t_start, t_end, kind, unit, label, n_bytes in report.sorted_events():
+        writer.writerow([repr(t_start), repr(t_end), kind, unit, label, n_bytes])
+    return out.getvalue()
 
 
 def pseudo_cost_trace_reference(spec: SystemSpec, fixture: CalibrationFixture,

@@ -7,7 +7,7 @@ import dataclasses
 import os
 import subprocess
 import sys
-from typing import get_args, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
@@ -176,6 +176,24 @@ def test_the_walker_finds_every_numeric_leaf():
                 if p[0] == "workload" and p[-1] == "byte_coef"}
     assert families == {f"workload.{fam.value}" for fam in KernelFamily
                         if fam is not KernelFamily.OTHER}
+
+
+def test_every_annotation_of_a_document_class_is_a_field_or_a_class_variable():
+    """A `_: KW_ONLY` marker breaks the document on Python 3.10, whose
+    get_type_hints, which doc_fields calls, cannot evaluate it."""
+    seen, todo = set(), [ExperimentConfig]
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = get_type_hints(cls)
+        annotated = {name for name, hint in hints.items()
+                     if get_origin(hint) is not ClassVar}
+        assert annotated == {f.name for f in dataclasses.fields(cls)}, cls
+        todo += [h for hint in hints.values() for h in (hint, *get_args(hint))
+                 if dataclasses.is_dataclass(h)]
+    assert len(seen) > 10
 
 
 @pytest.mark.parametrize("path", NUMERIC_LEAVES,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from ndftsim.cli import SHIPPED_SIZES, default_config
 from ndftsim.errors import CapacityError, DomainError
 from ndftsim.machine import (CPU_SIDE, HOST, MachineConfig, UnitClass, UnitRef)
 from ndftsim.scheduler import (PlanContext, Schedule, Transfer, _PlanState,
-                               plan, schedule_from_placements,
+                               _least_loaded, plan, schedule_from_placements,
                                scheduling_overhead, transfer_cost)
 from ndftsim.simulator import simulate
 from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
@@ -216,6 +217,36 @@ def test_a_tied_score_goes_to_the_class_holding_more_input_bytes(cfg):
                           for f in follow.values()) + a.overhead)
     assert len(scores) == 2 and scores[0] == scores[1]
     assert plan(graph, cfg, "hybrid").placements["a_0"] == UnitRef.ndp(0, 0)
+
+
+# free times on a coarse grid, and steps that are often 0, so ties between
+# units and pairs pushed twice are the common case
+@given(start=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=12),
+       updates=st.lists(st.tuples(st.none() | st.integers(0, 11),
+                                  st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])),
+                        max_size=60))
+def test_least_loaded_is_the_lowest_index_of_the_smallest_free_time(start,
+                                                                    updates):
+    """The planner's heap rule against free.index(min(free)), after each of
+    a run of updates that only grow a unit's free time, as a commit does:
+    None updates the least-loaded unit itself."""
+    free = list(start)
+    heap = list(zip(free, range(len(free))))
+    heapq.heapify(heap)
+    assert _least_loaded(heap, free) == free.index(min(free))
+    for unit, step in updates:
+        least = _least_loaded(heap, free)
+        i = least if unit is None else unit % len(free)
+        free[i] += step
+        heapq.heappush(heap, (free[i], i))
+        assert _least_loaded(heap, free) == free.index(min(free))
+
+
+def test_a_cpu_only_plan_places_every_task_on_one_unit_ref(cfg, calibrated):
+    graph = build_taskgraph(derive_system(64, calibrated, context="cpu"),
+                            calibrated)
+    units = plan(graph, cfg, policy="cpu_only").placements.values()
+    assert {id(u) for u in units} == {id(UnitRef.cpu())}
 
 
 def unpruned_hybrid_plan(graph, cfg) -> Schedule:

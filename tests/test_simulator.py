@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndftsim import simulator
 from ndftsim.cli import SHIPPED_SIZES, Scenario, default_config, run_scenario
@@ -18,6 +19,7 @@ from ndftsim.simulator import compare, simulate
 from ndftsim.workload import (DataObject, KernelFamily, build_taskgraph,
                               derive_system)
 from graphs import make_graph
+from oracles import timeline_csv_reference
 from test_scheduler import random_stage_graph, small_cxt_config
 
 
@@ -302,6 +304,36 @@ def test_timeline_is_built_and_sorted_on_each_read(cfg, calibrated):
     assert report.timeline_csv().splitlines()[1:] == [
         "0.0,0.5,task,u,b,0", "0.0,1.0,task,u,a,0", "0.0,1.0,comm,u,a,8",
         "0.0,1.0,cxt,u,a,0"]
+
+
+# names and labels that csv.writer must quote, or (CR, on Python < 3.13) not
+CSV_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", ":", "a", "b", "-", ">"],
+                   max_size=6)
+# a few float objects the rows share, so a row's time is often the same
+# object as the row before's; both zeros are in every report, and equal
+# values that are distinct objects must not share a repr
+TIMES = st.lists(st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324]),
+    min_size=1, max_size=5).map(lambda pool: pool + [0.0, -0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=TIMES, data=st.data())
+def test_timeline_csv_equals_a_csv_writer_reference(pool, data):
+    times = st.sampled_from(pool)
+    rows = data.draw(st.lists(st.tuples(
+        times, times,
+        st.sampled_from(["task", "transfer", "cxt", "comm"]) | CSV_TEXT,
+        st.sampled_from(["cpu", "ndp[0:1]", "mesh:0,0-1,0"]) | CSV_TEXT,
+        CSV_TEXT | st.just("o1->t2"),
+        st.integers(-2**70, 2**70) | st.sampled_from([0, 10**40])),
+        max_size=30))
+    # 0.0 and -0.0 tie in the sort, so they may land next to each other
+    rows += [(0.0, 1.0, "task", "u", "a", 0), (-0.0, 1.0, "task", "u", "b", 0)]
+    report = simulator.SimulationReport(
+        makespan=0.0, per_family_time={}, overhead=None, comm=CommStats(),
+        footprints={}, events=tuple(rows))
+    assert report.timeline_csv() == timeline_csv_reference(report)
 
 
 # SHA-256 of timeline_csv() + repr(per_family_time) + repr(comm) for three
